@@ -61,20 +61,26 @@ void EventLoop::cancel_timer(runtime::TimerId id) {
   wheel_.erase(id);
 }
 
-EventLoop::FlushHookId EventLoop::add_flush_hook(std::function<void()> fn) {
+EventLoop::FlushHookId EventLoop::add_flush_hook(FlushStage stage,
+                                                std::function<void()> fn) {
   EVS_CHECK(fn != nullptr);
   const FlushHookId id = next_flush_hook_id_++;
-  flush_hooks_.emplace_back(id, std::move(fn));
+  // Ids only grow, so inserting after the last hook of `stage` keeps the
+  // vector sorted by (stage, id).
+  const auto pos = std::upper_bound(
+      flush_hooks_.begin(), flush_hooks_.end(), stage,
+      [](FlushStage s, const FlushHook& hook) { return s < hook.stage; });
+  flush_hooks_.insert(pos, FlushHook{stage, id, std::move(fn)});
   return id;
 }
 
 void EventLoop::remove_flush_hook(FlushHookId id) {
   std::erase_if(flush_hooks_,
-                [id](const auto& hook) { return hook.first == id; });
+                [id](const FlushHook& hook) { return hook.id == id; });
 }
 
-void EventLoop::run_flush_hooks() {
-  for (auto& [id, fn] : flush_hooks_) fn();
+void EventLoop::flush() {
+  for (FlushHook& hook : flush_hooks_) hook.fn();
 }
 
 void EventLoop::add_fd(int fd, std::function<void()> on_readable) {
@@ -163,7 +169,7 @@ std::size_t EventLoop::step(SimDuration max_wait) {
   // Flush first: everything the previous step's callbacks queued (and,
   // on the first step, anything queued before run()) goes to the wire
   // before the loop blocks.
-  run_flush_hooks();
+  flush();
   // Wait no longer than the nearest pending timer (the wheel's hint is a
   // lower bound, so a coarse-bucketed far-future timer can wake us a bit
   // early but never late), the caller's budget, or a 500 ms heartbeat
@@ -228,7 +234,7 @@ std::size_t EventLoop::run() {
   // One final drain so work posted just before the stop is not lost, and
   // a final flush so its sends (and the last step's) are not stranded.
   drain_posted();
-  run_flush_hooks();
+  flush();
   return fired;
 }
 
@@ -243,7 +249,7 @@ std::size_t EventLoop::run_for(SimDuration d) {
   // Same final drain as run(): a cross-thread post() landing just before
   // the deadline must not be silently dropped, nor its sends stranded.
   drain_posted();
-  run_flush_hooks();
+  flush();
   return fired;
 }
 

@@ -43,8 +43,8 @@ class EventLoop final : public runtime::Clock, public runtime::TimerService {
                              std::function<void()> fn) override;
   void cancel_timer(runtime::TimerId id) override;
 
-  /// Registers a level-triggered read interest; `on_readable` must drain
-  /// the fd (read until EAGAIN) or it will be called again immediately.
+  /// Registers a level-triggered read interest; bytes `on_readable` leaves
+  /// unread wake it again on the next step, so one read per wake suffices.
   void add_fd(int fd, std::function<void()> on_readable);
   void remove_fd(int fd);
 
@@ -73,14 +73,30 @@ class EventLoop final : public runtime::Clock, public runtime::TimerService {
 
   using FlushHookId = std::uint64_t;
 
+  /// When a flush hook runs within one flush: every Durable hook, then
+  /// every Reply hook, then every Wire hook; registration order only
+  /// breaks ties within a stage. The order is the durability rule: a
+  /// reply or a frame leaves the machine only after the store records it
+  /// references are synced, and client replies go out before the
+  /// multicast batch so a reply never queues behind it.
+  enum class FlushStage : std::uint8_t {
+    Durable,  // WAL group commit (store/wal_store.hpp)
+    Reply,    // client front-door replies (svc/server.hpp)
+    Wire,     // protocol datagrams (net/udp_transport.hpp)
+  };
+
   /// Registers a hook that runs on the loop thread at the top of every
   /// step (before the loop blocks in epoll_wait) and once more after the
-  /// final drain when run()/run_for() returns. Transports use this to
-  /// flush their per-iteration send queues, so everything queued by the
-  /// previous step's callbacks hits the wire before the loop sleeps.
-  /// Hooks must not add or remove hooks from inside a hook.
-  FlushHookId add_flush_hook(std::function<void()> fn);
+  /// final drain when run()/run_for() returns, ordered by `stage`.
+  /// Writers use this to flush their per-iteration queues, so everything
+  /// queued by the previous step's callbacks leaves before the loop
+  /// sleeps. Hooks must not add or remove hooks from inside a hook.
+  FlushHookId add_flush_hook(FlushStage stage, std::function<void()> fn);
   void remove_flush_hook(FlushHookId id);
+
+  /// Runs every flush hook now, in stage order — for work queued outside
+  /// a step (e.g. a node's on_start) that must not wait for the next one.
+  void flush();
 
   std::size_t pending_timers() const { return timer_callbacks_.size(); }
   /// Timer-wheel entries still queued. Cancellation erases its entry
@@ -94,7 +110,6 @@ class EventLoop final : public runtime::Clock, public runtime::TimerService {
   /// whatever is due. Returns callbacks fired.
   std::size_t step(SimDuration max_wait);
   std::size_t fire_due_timers();
-  void run_flush_hooks();
   void drain_wakeup();
   void drain_posted();
 
@@ -110,7 +125,12 @@ class EventLoop final : public runtime::Clock, public runtime::TimerService {
   std::vector<TimerWheel::Entry> due_;  // reused by fire_due_timers
   std::unordered_map<runtime::TimerId, std::function<void()>> timer_callbacks_;
 
-  std::vector<std::pair<FlushHookId, std::function<void()>>> flush_hooks_;
+  struct FlushHook {
+    FlushStage stage;
+    FlushHookId id;
+    std::function<void()> fn;
+  };
+  std::vector<FlushHook> flush_hooks_;  // sorted by (stage, id)
   FlushHookId next_flush_hook_id_ = 1;
 
   struct FdHandlers {

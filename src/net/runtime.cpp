@@ -2,10 +2,12 @@
 
 #include <unistd.h>
 
+#include <exception>
 #include <sstream>
 
 #include "codec/codec.hpp"
 #include "common/check.hpp"
+#include "common/log.hpp"
 #include "obs/dump.hpp"
 
 namespace evs::net {
@@ -41,12 +43,12 @@ NodeConfig NetRuntime::boot_config() {
     enc.put_u32(config_.incarnation);
     wal_store_->put(kIncarnationKey, std::move(enc).take());
     wal_store_->flush();
-    // Group commit rides the event loop: this hook runs before the
-    // transport's own flush hook (registered next, in the UdpTransport
-    // constructor), so every record buffered during a loop iteration is
-    // on disk before any frame sent in that iteration hits the socket.
-    store_flush_hook_ =
-        loop_.add_flush_hook([this] { wal_store_->flush(); });
+    // Group commit rides the event loop at the Durable stage, ahead of
+    // the svc replies and the transport's datagrams, so every record
+    // buffered during a loop iteration is on disk before any reply or
+    // frame queued in that iteration reaches a socket.
+    store_flush_hook_ = loop_.add_flush_hook(
+        EventLoop::FlushStage::Durable, [this] { wal_store_->flush(); });
   }
   return config_;
 }
@@ -138,6 +140,14 @@ void NetRuntime::refresh_metrics() {
 }
 
 NetRuntime::~NetRuntime() {
+  // Last flush in stage order: the transport's own teardown flush would
+  // otherwise send the final frames ahead of their records' sync. A
+  // failing disk must not throw out of a destructor; report it instead.
+  try {
+    loop_.flush();
+  } catch (const std::exception& e) {
+    EVS_WARN("runtime: final flush failed: " << e.what());
+  }
   if (store_flush_hook_ != 0) loop_.remove_flush_hook(store_flush_hook_);
   if (trace_dumped_ || trace_bus_.recorded() == 0) return;
   if (obs::trace_out_dir().empty()) return;
@@ -189,9 +199,9 @@ void NetRuntime::host_group(GroupId id, runtime::Node& node) {
   node.bind(std::move(env), self());
   node.on_start();
   // on_start() runs before the loop does, so its sends (first heartbeats,
-  // join probes) would otherwise sit queued until the first step's flush
-  // hook; push them out now.
-  transport_.flush();
+  // join probes) and store writes would otherwise sit queued until the
+  // first step; flush them now, records before frames.
+  loop_.flush();
 }
 
 void NetRuntime::unhost_group(GroupId id) {

@@ -152,9 +152,9 @@ class NetRuntime {
 
   /// Opens the durable store (when configured), recovers + bumps the
   /// incarnation from it, and registers the store's group-commit flush
-  /// hook — all before the transport exists, so no frame can leave with
-  /// a reused incarnation or ahead of its batch's sync. Returns the
-  /// (possibly adjusted) config the transport binds with.
+  /// hook at the Durable stage — all before the transport exists, so no
+  /// frame can leave with a reused incarnation. Returns the (possibly
+  /// adjusted) config the transport binds with.
   NodeConfig boot_config();
 
   NodeConfig config_;

@@ -1,6 +1,7 @@
 #include "net/tcp_listener.hpp"
 
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -51,6 +52,10 @@ void TcpListener::on_accept() {
       if (callbacks_.on_shed) callbacks_.on_shed();
       continue;
     }
+    // Nagle would hold a response written while an earlier one is still
+    // unacknowledged until the peer's delayed ACK (see the header).
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     callbacks_.on_connection(fd);
   }
 }

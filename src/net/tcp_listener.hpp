@@ -8,7 +8,10 @@
 // past a capacity check instead of queueing them (close immediately; the
 // client retries). This class is that skeleton, extracted so there is
 // exactly one conn-cap + shed implementation; the owners keep their own
-// counters and per-connection state via the callbacks.
+// counters and per-connection state via the callbacks. Accepted sockets
+// get TCP_NODELAY: each owner already hands the kernel whole responses
+// (the svc server one write per connection per loop iteration), so Nagle
+// could only delay them.
 #pragma once
 
 #include <cstdint>

@@ -84,7 +84,8 @@ UdpTransport::UdpTransport(EventLoop& loop, NodeConfig config)
   }
 
   loop_.add_fd(fd_, [this]() { on_readable(); });
-  flush_hook_ = loop_.add_flush_hook([this]() { flush(); });
+  flush_hook_ =
+      loop_.add_flush_hook(EventLoop::FlushStage::Wire, [this]() { flush(); });
 }
 
 UdpTransport::~UdpTransport() {

@@ -17,8 +17,9 @@
 //
 // The send path is batched: send/send_to_site/send_multi enqueue frames
 // (validated and counted at enqueue time, preserving the old synchronous
-// drop semantics) and flush() — run by the EventLoop's flush hook once
-// per loop iteration — packs the whole queue onto the wire:
+// drop semantics) and flush() — run by the EventLoop's Wire-stage flush
+// hook once per loop iteration, after the store's sync and the svc
+// replies — packs the whole queue onto the wire:
 //
 //   * frames to the same (site, incarnation, group, trace) may be
 //     coalesced into one datagram of length-prefixed sub-frames (magic

@@ -21,9 +21,10 @@
 // (read-your-writes) and append the encoded record to a pending buffer;
 // nothing touches the kernel until flush(), which issues one write() and
 // one fdatasync() for the whole batch. The net runtime calls flush() from
-// an event-loop flush hook, so every put coalesced within one loop
-// iteration shares a single fsync — the amortisation bench/store_wal
-// measures. Durability is therefore at flush boundaries: a crash between
+// an event-loop flush hook at the Durable stage, ahead of the svc replies
+// and the datagrams of the same iteration, so every put coalesced within
+// one loop iteration shares a single fsync — the amortisation
+// bench/store_wal measures. Durability is therefore at flush boundaries: a crash between
 // put() and flush() loses the tail batch, which the protocol tolerates
 // exactly as it tolerates crashing just before the put.
 //

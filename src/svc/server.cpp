@@ -3,6 +3,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <utility>
 #include <vector>
@@ -30,9 +31,13 @@ SvcServer::SvcServer(net::EventLoop& loop, std::uint32_t ip,
               .on_connection = [this](int fd) { on_connection(fd); },
               .on_shed = [this]() { ++stats_.connections_shed; },
           },
-          "svc") {}
+          "svc") {
+  flush_hook_ = loop_.add_flush_hook(net::EventLoop::FlushStage::Reply,
+                                     [this]() { flush_replies(); });
+}
 
 SvcServer::~SvcServer() {
+  loop_.remove_flush_hook(flush_hook_);
   *alive_ = false;  // completions and timers in flight become no-ops
   std::vector<int> fds;
   fds.reserve(connections_.size());
@@ -60,15 +65,26 @@ void SvcServer::on_readable(int fd) {
     const auto it = connections_.find(fd);
     if (it == connections_.end()) return;
     Conn& conn = it->second;
-    char buf[4096];
+    // Read straight into the buffer, stopping at the first short read:
+    // the socket is then empty, and the loop is level-triggered, so the
+    // read(2) that would only return EAGAIN is never made.
+    constexpr std::size_t kReadChunk = 4096;
     for (;;) {
-      const ssize_t n = ::read(fd, buf, sizeof(buf));
+      const std::size_t used = conn.in.size();
+      conn.in.resize(used + kReadChunk);
+      ++stats_.read_calls;
+      const ssize_t n = ::read(fd, conn.in.data() + used, kReadChunk);
+      conn.in.resize(used + static_cast<std::size_t>(std::max<ssize_t>(n, 0)));
       if (n == 0) {  // peer closed
         close_connection(fd);
         return;
       }
-      if (n < 0) break;  // EAGAIN (or transient): wait for the next wake
-      conn.in.append(buf, static_cast<std::size_t>(n));
+      if (n < 0) {
+        if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) break;
+        close_connection(fd);  // reset etc.
+        return;
+      }
+      if (static_cast<std::size_t>(n) < kReadChunk) break;
     }
   }
   // Parse complete frames. Every dispatch may mutate connections_ (a
@@ -114,8 +130,9 @@ bool SvcServer::dispatch(int fd, std::uint64_t request_id, SvcRequest req,
   if (!handler_ || conn.inflight >= config_.max_inflight_per_conn ||
       pending_ >= config_.max_pending) {
     ++stats_.requests_shed;
-    return send_response(fd, conn, request_id,
-                         SvcResponse::unavailable(config_.shed_retry_after_ms));
+    return queue_response(
+        fd, conn, request_id,
+        SvcResponse::unavailable(config_.shed_retry_after_ms));
   }
 
   ++conn.inflight;
@@ -169,17 +186,9 @@ void SvcServer::complete(const std::shared_ptr<RequestCtx>& ctx,
   Conn& conn = it->second;
   EVS_CHECK(conn.inflight > 0);
   --conn.inflight;
-  const SimTime reply_start = server->loop_.now();
-  server->send_response(ctx->fd, conn, ctx->request_id, resp);
-  server->reply_us_.record(
-      static_cast<double>(server->loop_.now() - reply_start));
-  if (ctx->trace != 0 && server->trace_ != nullptr &&
-      server->trace_->enabled()) {
-    server->trace_->record({reply_start, server->self_,
-                            obs::EventKind::RequestReplied, {}, {}, ctx->trace,
-                            static_cast<std::uint64_t>(resp.status),
-                            ctx->request_id});
-  }
+  if (!server->queue_response(ctx->fd, conn, ctx->request_id, resp)) return;
+  conn.replies.push_back({conn.out.size(), server->loop_.now(), ctx->trace,
+                          ctx->request_id, resp.status});
 }
 
 void SvcServer::count_response(const SvcResponse& resp) {
@@ -193,50 +202,80 @@ void SvcServer::count_response(const SvcResponse& resp) {
   }
 }
 
-bool SvcServer::send_response(int fd, Conn& conn, std::uint64_t request_id,
-                              const SvcResponse& resp) {
+bool SvcServer::queue_response(int fd, Conn& conn, std::uint64_t request_id,
+                               const SvcResponse& resp) {
   append_frame(conn.out, encode_response(request_id, resp));
-  if (conn.out.size() - conn.sent > config_.max_out_bytes) {
+  if (conn.out.size() > config_.max_out_bytes) {
     // The client is not reading its responses; buffering without bound
     // would let one slow consumer eat the node's memory.
     ++stats_.slow_consumer_closed;
     close_connection(fd);
     return false;
   }
-  return flush(fd, conn);
-}
-
-bool SvcServer::flush(int fd, Conn& conn) {
-  while (conn.sent < conn.out.size()) {
-    const ssize_t n = ::send(fd, conn.out.data() + conn.sent,
-                             conn.out.size() - conn.sent, MSG_NOSIGNAL);
-    if (n >= 0) {
-      conn.sent += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      if (!conn.want_write) {
-        conn.want_write = true;
-        loop_.set_writable(fd, [this, fd]() { on_writable(fd); });
-      }
-      return true;
-    }
-    close_connection(fd);  // broken pipe etc.
-    return false;
-  }
-  conn.out.clear();
-  conn.sent = 0;
-  if (conn.want_write) {
-    conn.want_write = false;
-    loop_.set_writable(fd, {});
-  }
+  // A connection under write interest waits for on_writable instead: its
+  // socket is full, and a write now would only return EAGAIN.
+  if (!conn.want_write) mark_dirty(fd, conn);
   return true;
 }
 
+void SvcServer::mark_dirty(int fd, Conn& conn) {
+  if (conn.dirty) return;
+  conn.dirty = true;
+  dirty_.push_back(fd);
+}
+
+void SvcServer::flush_replies() {
+  for (const int fd : dirty_) {
+    const auto it = connections_.find(fd);
+    if (it == connections_.end() || !it->second.dirty) continue;
+    it->second.dirty = false;
+    write_out(fd, it->second);
+  }
+  dirty_.clear();
+}
+
+void SvcServer::write_out(int fd, Conn& conn) {
+  ++stats_.send_calls;
+  const ssize_t n =
+      ::send(fd, conn.out.data(), conn.out.size(), MSG_NOSIGNAL);
+  if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
+    close_connection(fd);  // broken pipe etc.
+    return;
+  }
+  const std::size_t sent = n > 0 ? static_cast<std::size_t>(n) : 0;
+  const SimTime now = loop_.now();
+  std::size_t done = 0;
+  for (; done < conn.replies.size() && conn.replies[done].end <= sent; ++done) {
+    const QueuedReply& reply = conn.replies[done];
+    reply_us_.record(static_cast<double>(now - reply.completed));
+    if (reply.trace != 0 && trace_ != nullptr && trace_->enabled()) {
+      trace_->record({now, self_, obs::EventKind::RequestReplied, {}, {},
+                      reply.trace, static_cast<std::uint64_t>(reply.status),
+                      reply.request_id});
+    }
+  }
+  conn.replies.erase(conn.replies.begin(),
+                     conn.replies.begin() + static_cast<std::ptrdiff_t>(done));
+  for (QueuedReply& reply : conn.replies) reply.end -= sent;
+  // Keep only the unsent tail, so `out` is bounded by max_out_bytes even
+  // for a client that reads steadily but never catches up.
+  conn.out.erase(0, sent);
+  // A short write means the socket buffer is full: finish under write
+  // interest instead of retrying into EAGAIN.
+  const bool blocked = !conn.out.empty();
+  if (blocked != conn.want_write) {
+    conn.want_write = blocked;
+    loop_.set_writable(fd, blocked ? std::function<void()>(
+                                         [this, fd]() { on_writable(fd); })
+                                   : std::function<void()>());
+  }
+}
+
 void SvcServer::on_writable(int fd) {
+  // Only mark it: replies completed earlier in this iteration may sit in
+  // `out` behind the backlog, and must wait for the Durable stage.
   const auto it = connections_.find(fd);
-  if (it == connections_.end()) return;
-  flush(fd, it->second);
+  if (it != connections_.end()) mark_dirty(fd, it->second);
 }
 
 void SvcServer::close_connection(int fd) {
@@ -245,6 +284,12 @@ void SvcServer::close_connection(int fd) {
   // In-flight completions for this connection find a missing fd (or a
   // different generation after reuse) and count responses_orphaned.
   connections_.erase(fd);
+}
+
+std::size_t SvcServer::out_buffered_bytes() const {
+  std::size_t bytes = 0;
+  for (const auto& [fd, conn] : connections_) bytes += conn.out.size();
+  return bytes;
 }
 
 void SvcServer::export_metrics(obs::MetricsRegistry& registry,
@@ -270,6 +315,10 @@ void SvcServer::export_metrics(obs::MetricsRegistry& registry,
       .set(stats_.responses_orphaned);
   registry.counter(prefix + ".slow_consumer_closed")
       .set(stats_.slow_consumer_closed);
+  registry.counter(prefix + ".send_calls").set(stats_.send_calls);
+  registry.counter(prefix + ".read_calls").set(stats_.read_calls);
+  registry.gauge(prefix + ".out_buffered_bytes")
+      .set(static_cast<double>(out_buffered_bytes()));
   registry.gauge(prefix + ".connections")
       .set(static_cast<double>(connections_.size()));
   registry.gauge(prefix + ".pending").set(static_cast<double>(pending_));

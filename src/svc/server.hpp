@@ -33,6 +33,18 @@
 // _stale_epoch / _shed and friends plus an end-to-end latency histogram —
 // so /metrics shows exactly how the front door is treating clients.
 //
+// Replies are written once per connection per loop iteration. A
+// completion only appends its frame to the connection's out buffer and
+// marks the connection dirty; the server's Reply-stage flush hook then
+// hands each dirty connection's bytes to the kernel in one send(2).
+// That stage runs after the store's group commit (Durable) and before the
+// transport's datagrams (Wire) — see net::EventLoop::FlushStage — so a
+// reply never leaves ahead of the sync that makes its write durable, and
+// never queues behind the multicast batch. Pipelined completions of one
+// iteration leave as one segment, so the listener's TCP_NODELAY adds no
+// syscalls or packets; it only stops Nagle from holding a reply until
+// the client's delayed ACK.
+//
 // Requests are routed to the hosted node through a Handler wired to
 // runtime::Node::svc_request. The handler's respond callback may fire
 // synchronously (reads, rejections) or later (ordered writes); a
@@ -46,6 +58,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/time.hpp"
 #include "net/event_loop.hpp"
@@ -92,6 +105,8 @@ struct SvcStats {
   std::uint64_t requests_timed_out = 0;   // node missed request_timeout
   std::uint64_t responses_orphaned = 0;   // completed after conn close
   std::uint64_t slow_consumer_closed = 0;
+  std::uint64_t send_calls = 0;           // send(2) calls writing replies
+  std::uint64_t read_calls = 0;           // read(2) calls reading requests
 };
 
 class SvcServer {
@@ -116,9 +131,10 @@ class SvcServer {
 
   /// Wires the trace bus the server reports request lifecycle events to
   /// (RequestAdmitted at dispatch, RequestReplied when the response frame
-  /// is queued). The server has no protocol identity of its own, so the
-  /// host passes the hosted node's — events of both layers then collate
-  /// under one process in the merged trace. Null disables emission.
+  /// is handed to the kernel). The server has no protocol identity of its
+  /// own, so the host passes the hosted node's — events of both layers
+  /// then collate under one process in the merged trace. Null disables
+  /// emission.
   void set_trace(obs::TraceBus* bus, ProcessId self) {
     trace_ = bus;
     self_ = self;
@@ -129,17 +145,31 @@ class SvcServer {
   std::size_t connections() const { return connections_.size(); }
   /// Requests currently awaiting a node response.
   std::size_t pending() const { return pending_; }
+  /// Reply bytes held across all connections, not yet taken by the kernel
+  /// (the svc.out_buffered_bytes gauge).
+  std::size_t out_buffered_bytes() const;
 
   void export_metrics(obs::MetricsRegistry& registry,
                       const std::string& prefix = "svc") const;
 
  private:
+  /// A node-answered reply whose frame sits in Conn::out; it is timed
+  /// (reply_us) and traced (RequestReplied) once its last byte is sent.
+  struct QueuedReply {
+    std::size_t end = 0;  // offset in `out` just past the frame
+    SimTime completed = 0;
+    std::uint64_t trace = 0;  // effective trace context (0 = untraced)
+    std::uint64_t request_id = 0;
+    runtime::SvcStatus status = runtime::SvcStatus::Ok;
+  };
+
   struct Conn {
-    std::string in;        // unparsed request bytes
-    std::string out;       // response bytes awaiting the socket
-    std::size_t sent = 0;  // prefix of `out` already written
+    std::string in;   // unparsed request bytes
+    std::string out;  // reply bytes the kernel has not taken yet
+    std::vector<QueuedReply> replies;  // answered frames in `out`, in order
     std::size_t inflight = 0;
     std::uint64_t gen = 0;  // guards completions against fd reuse
+    bool dirty = false;     // listed in dirty_ for the next reply flush
     bool want_write = false;
   };
 
@@ -172,18 +202,25 @@ class SvcServer {
   static void complete(const std::shared_ptr<RequestCtx>& ctx,
                        runtime::SvcResponse resp, bool timed_out);
   void count_response(const runtime::SvcResponse& resp);
-  /// Queues one response frame; returns false when the connection was
-  /// closed (slow consumer or broken pipe).
-  bool send_response(int fd, Conn& conn, std::uint64_t request_id,
-                     const runtime::SvcResponse& resp);
-  /// Writes what the socket accepts; arms/clears EPOLLOUT interest.
-  /// Returns false when the connection was closed (broken pipe).
-  bool flush(int fd, Conn& conn);
+  /// Appends one response frame to `conn.out` and marks the connection
+  /// dirty; nothing is written here. Returns false when the backlog
+  /// passed max_out_bytes and the slow consumer was closed.
+  bool queue_response(int fd, Conn& conn, std::uint64_t request_id,
+                      const runtime::SvcResponse& resp);
+  void mark_dirty(int fd, Conn& conn);
+  /// The Reply-stage flush hook: one write per dirty connection.
+  void flush_replies();
+  /// One send(2) of `conn.out`: keeps the unsent tail, records the
+  /// replies it completed, and arms EPOLLOUT iff the socket is full.
+  void write_out(int fd, Conn& conn);
 
   net::EventLoop& loop_;
   SvcServerConfig config_;
   Handler handler_;
   std::map<int, Conn> connections_;
+  /// Connections with bytes to write at the next reply flush; an fd that
+  /// closed (or was reused by a clean connection) since is skipped.
+  std::vector<int> dirty_;
   std::uint64_t next_conn_gen_ = 1;
   std::size_t pending_ = 0;
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
@@ -192,12 +229,14 @@ class SvcServer {
   /// Per-phase attribution: admit_us (socket arrival to node dispatch),
   /// latency_us (dispatch to node completion — the node's share, the
   /// ordering/fence spans inside it are the group object's histograms),
-  /// reply_us (completion to the response frame queued/written).
+  /// reply_us (completion to the frame's last byte handed to the kernel,
+  /// recorded at flush time).
   obs::Histogram admit_us_;
   obs::Histogram latency_us_;
   obs::Histogram reply_us_;
   obs::TraceBus* trace_ = nullptr;
   ProcessId self_{};
+  net::EventLoop::FlushHookId flush_hook_ = 0;
 
   net::TcpListener listener_;  // last: accepts may fire once registered
 };

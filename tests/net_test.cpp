@@ -411,6 +411,26 @@ TEST(EventLoop, StaleEventDoesNotDispatchToReusedFdNumber) {
   }
 }
 
+TEST(EventLoop, FlushHooksRunByStageThenRegistrationOrder) {
+  // Registered out of stage order on purpose: the stage decides, and
+  // registration order only breaks ties within a stage.
+  EventLoop loop;
+  std::vector<std::string> ran;
+  using Stage = EventLoop::FlushStage;
+  loop.add_flush_hook(Stage::Wire, [&]() { ran.push_back("wire"); });
+  loop.add_flush_hook(Stage::Reply, [&]() { ran.push_back("reply"); });
+  const auto first_durable =
+      loop.add_flush_hook(Stage::Durable, [&]() { ran.push_back("durable-a"); });
+  loop.add_flush_hook(Stage::Durable, [&]() { ran.push_back("durable-b"); });
+  loop.flush();
+  EXPECT_EQ(ran, (std::vector<std::string>{"durable-a", "durable-b", "reply",
+                                           "wire"}));
+  ran.clear();
+  loop.remove_flush_hook(first_durable);
+  loop.run_for(0);  // the exit flush runs the same order
+  EXPECT_EQ(ran, (std::vector<std::string>{"durable-b", "reply", "wire"}));
+}
+
 class UdpPair : public ::testing::Test {
  protected:
   UdpPair() {

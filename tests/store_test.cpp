@@ -13,6 +13,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <ostream>
 #include <random>
 #include <string>
 #include <vector>
@@ -60,6 +61,13 @@ struct StoreFactory {
   std::function<std::unique_ptr<runtime::StableStore>(const std::string& dir)>
       make;
 };
+
+// Without this GoogleTest prints the parameter as its raw bytes — heap and
+// code addresses — and test discovery puts them in the test's name, which
+// then changes from build to build.
+void PrintTo(const StoreFactory& factory, std::ostream* os) {
+  *os << factory.name;
+}
 
 class StoreConformanceTest : public testing::TestWithParam<StoreFactory> {
  protected:

@@ -18,9 +18,11 @@
 //      from that very response, and its next Put lands Ok,
 //   6. SIGCONT: the 3-view returns; a post-heal Put through node 0 becomes
 //      readable through the revived node (state crossed the heal),
-//   7. a pipelined burst against a node with a tiny --svc-inflight cap is
+//   7. a burst pipelined in one write against a node with a tiny
+//      --svc-inflight cap is
 //      shed with typed Unavailable{retry_after_ms} — counted on /metrics,
-//      with every single request of the burst answered,
+//      with every single request of the burst answered, in fewer
+//      svc.send_calls than replies,
 //   8. SIGTERM everything; clean exits.
 //
 // Plain main() runner (no gtest): exit 0 on success, 1 on failure with a
@@ -63,9 +65,17 @@ constexpr int kNodes = 3;
 /// the server-side view of the run alongside the transcript.
 std::function<void()> g_on_fail;
 
+struct Child;
+/// The fleet, once spawned: die() kills it, so a failing run ends at once
+/// instead of leaving nodes that hold the runner's stderr open.
+std::vector<Child>* g_children = nullptr;
+
+void kill_children();
+
 [[noreturn]] void die(const std::string& message) {
   std::fprintf(stderr, "FAIL: %s\n", message.c_str());
   if (g_on_fail) g_on_fail();
+  kill_children();
   std::exit(1);
 }
 
@@ -218,6 +228,16 @@ void reap(Child& child) {
   }
 }
 
+void kill_children() {
+  if (g_children == nullptr) return;
+  for (Child& child : *g_children) {
+    if (child.pid <= 0 || child.exited) continue;
+    ::kill(child.pid, SIGKILL);  // also ends a SIGSTOPped node
+    ::waitpid(child.pid, nullptr, 0);
+    child.exited = true;
+  }
+}
+
 void dump_outputs(const std::vector<Child>& children) {
   for (int i = 0; i < static_cast<int>(children.size()); ++i)
     std::fprintf(stderr, "--- node%d output ---\n%s\n", i,
@@ -252,19 +272,27 @@ class SvcClient {
   }
 
   std::uint64_t send_request(const SvcRequest& req) {
+    return send_requests({req}).front();
+  }
+
+  /// Pipelines `reqs` in one write, so the server reads them together;
+  /// returns their ids in order.
+  std::vector<std::uint64_t> send_requests(const std::vector<SvcRequest>& reqs) {
     if (fd_ < 0) connect_or_die();
-    const std::uint64_t id = next_id_++;
-    const Bytes body = evs::svc::encode_request(id, req);
-    std::string frame;
-    evs::svc::append_frame(frame, body);
+    std::vector<std::uint64_t> ids;
+    std::string frames;
+    for (const SvcRequest& req : reqs) {
+      ids.push_back(next_id_++);
+      evs::svc::append_frame(frames, evs::svc::encode_request(ids.back(), req));
+    }
     std::size_t sent = 0;
-    while (sent < frame.size()) {
-      const ssize_t n = ::send(fd_, frame.data() + sent, frame.size() - sent,
+    while (sent < frames.size()) {
+      const ssize_t n = ::send(fd_, frames.data() + sent, frames.size() - sent,
                                MSG_NOSIGNAL);
       if (n <= 0) die("client send() failed");
       sent += static_cast<std::size_t>(n);
     }
-    return id;
+    return ids;
   }
 
   /// Blocks until the response for `id` arrives; out-of-order responses
@@ -433,6 +461,7 @@ int main(int argc, char** argv) {
     if (i == 2) extra = {"--svc-inflight", "4"};
     children.push_back(spawn_node(evs_node, config_paths[i], extra));
   }
+  g_children = &children;
 
   // 1. Everyone serves its svc port and installs the common 3-view.
   const std::string full_view = "size=3 members=0,1,2";
@@ -526,11 +555,13 @@ int main(int argc, char** argv) {
   //    cap. Every request must be answered — Ok for the admitted ones,
   //    Unavailable with a retry hint for the shed ones, nothing dropped.
   constexpr int kBurst = 64;
-  std::vector<std::uint64_t> ids;
-  ids.reserve(kBurst);
+  const long long sends_before =
+      json_number(http_get(admin_ports[2], "/metrics"), "svc.send_calls");
+  if (sends_before < 0) die("svc.send_calls missing from /metrics");
+  std::vector<SvcRequest> burst;
   for (int i = 0; i < kBurst; ++i)
-    ids.push_back(client2.send_request(
-        make_put("burst" + std::to_string(i), "x", 0)));
+    burst.push_back(make_put("burst" + std::to_string(i), "x", 0));
+  const std::vector<std::uint64_t> ids = client2.send_requests(burst);
   int burst_ok = 0;
   int burst_shed = 0;
   for (const std::uint64_t id : ids) {
@@ -561,6 +592,17 @@ int main(int argc, char** argv) {
   if (json_number(metrics, "svc.connections_accepted") < 1)
     die("svc.connections_accepted missing from /metrics");
   std::fprintf(stderr, "ok: shed and serve counters exported on /metrics\n");
+  // Replies completed in one loop iteration share one write: the burst's
+  // synchronous sheds must not cost a send(2) each.
+  const long long burst_sends =
+      json_number(metrics, "svc.send_calls") - sends_before;
+  if (burst_sends >= kBurst)
+    die("burst of " + std::to_string(kBurst) + " replies took " +
+        std::to_string(burst_sends) + " send calls");
+  if (json_number(metrics, "svc.read_calls") < 1)
+    die("svc.read_calls missing from /metrics");
+  std::fprintf(stderr, "ok: burst of %d replies in %lld send calls\n", kBurst,
+               burst_sends);
 
   // 8. Graceful shutdown.
   for (int i = 0; i < kNodes; ++i) ::kill(children[i].pid, SIGTERM);

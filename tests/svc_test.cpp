@@ -7,10 +7,14 @@
 
 #include <arpa/inet.h>
 #include <fcntl.h>
+#include <linux/sockios.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <map>
 #include <optional>
 #include <string>
@@ -444,6 +448,257 @@ TEST(SvcServer, ExportsCountersAndLatencyHistogram) {
   EXPECT_NE(json.find("\"svc.requests_ok\":1"), std::string::npos) << json;
   EXPECT_NE(json.find("svc.latency_us"), std::string::npos) << json;
   EXPECT_NE(json.find("\"svc.connections\":1"), std::string::npos) << json;
+}
+
+// ------------------------------------------------------- reply path ---
+
+/// A raw nonblocking loopback connection to `port`, for tests that need
+/// socket options TestClient does not expose. `rcvbuf` > 0 caps the
+/// receive buffer before the handshake fixes the window scale.
+int connect_raw(std::uint16_t port, int rcvbuf = 0) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  if (rcvbuf > 0)
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  ::fcntl(fd, F_SETFL, O_NONBLOCK);
+  return fd;
+}
+
+std::string request_frame(std::uint64_t id, const SvcRequest& req) {
+  std::string frame;
+  svc::append_frame(frame, svc::encode_request(id, req));
+  return frame;
+}
+
+/// Reads what `fd` has and appends every complete response to `out`;
+/// returns the bytes read.
+std::size_t read_responses(int fd, std::string& in,
+                           std::vector<svc::WireResponse>& out,
+                           std::size_t max_bytes = 64 * 1024) {
+  std::string buf(max_bytes, '\0');
+  const ssize_t n = ::recv(fd, buf.data(), buf.size(), MSG_DONTWAIT);
+  if (n <= 0) return 0;
+  in.append(buf.data(), static_cast<std::size_t>(n));
+  std::size_t offset = 0;
+  Bytes body;
+  while (svc::next_frame(in, offset, body) == svc::FrameStatus::Frame)
+    out.push_back(svc::decode_response(body));
+  in.erase(0, offset);
+  return static_cast<std::size_t>(n);
+}
+
+TEST(SvcServer, PipelinedCompletionsLeaveInOneWrite) {
+  net::EventLoop loop;
+  svc::SvcServer server(loop, kLoopbackIp, 0);
+  server.set_handler([](SvcRequest, SvcRespondFn respond) {
+    respond(SvcResponse::ok(1));
+  });
+  TestClient client(server.bound_port());
+  for (std::uint64_t id = 1; id <= 3; ++id)
+    client.send_request(id, make_request(SvcOp::Get, 0, "k"));
+  ASSERT_TRUE(client.pump_until(loop, 3));
+  // One segment in, one read; three completions in that pass, one write.
+  EXPECT_EQ(server.stats().read_calls, 1u);
+  EXPECT_EQ(server.stats().send_calls, 1u);
+
+  obs::MetricsRegistry registry;
+  server.export_metrics(registry);
+  const std::string json = registry.to_json();
+  EXPECT_NE(json.find("\"svc.send_calls\":1"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"svc.read_calls\":1"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"svc.out_buffered_bytes\":0"), std::string::npos)
+      << json;
+}
+
+TEST(SvcServer, RepliesLeaveOnlyAfterTheDurableStage) {
+  // The store's group commit is a Durable-stage hook: a reply may reach
+  // the client only after it ran, even when the node answered at once.
+  net::EventLoop loop;
+  svc::SvcServer server(loop, kLoopbackIp, 0);
+  bool answered = false;
+  server.set_handler([&answered](SvcRequest, SvcRespondFn respond) {
+    answered = true;
+    respond(SvcResponse::ok(1));
+  });
+  const int fd = connect_raw(server.bound_port());
+  // Registered after the server's Reply hook: the stage, not the
+  // registration order, puts it first.
+  int durable_runs_after_answer = 0;
+  ssize_t visible_at_durable = 0;
+  const auto hook = loop.add_flush_hook(
+      net::EventLoop::FlushStage::Durable, [&]() {
+        if (!answered || durable_runs_after_answer++ > 0) return;
+        char byte = 0;
+        visible_at_durable = ::recv(fd, &byte, 1, MSG_PEEK | MSG_DONTWAIT);
+      });
+  const std::string frame =
+      request_frame(1, make_request(SvcOp::Get, 0, "k"));
+  ASSERT_EQ(::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(frame.size()));
+  std::string in;
+  std::vector<svc::WireResponse> responses;
+  for (int i = 0; i < 2000 && responses.empty(); ++i) {
+    loop.run_for(kMillisecond);
+    read_responses(fd, in, responses);
+  }
+  ASSERT_EQ(responses.size(), 1u);
+  EXPECT_GE(durable_runs_after_answer, 1);
+  EXPECT_EQ(visible_at_durable, -1)
+      << "reply bytes were readable before the Durable stage ran";
+  loop.remove_flush_hook(hook);
+  ::close(fd);
+}
+
+TEST(SvcServer, PipelinedReplyIsNotHeldForTheDelayedAck) {
+  // The client keeps its ACKs delayed and pipelines requests in pairs; the
+  // node answers the first of a pair at once and the second a loop
+  // iteration later, so the second reply is written while the first is
+  // still unacknowledged. With Nagle on it waits for the client's
+  // delayed-ACK timer (40 ms or more); without, it leaves at once.
+  net::EventLoop loop;
+  svc::SvcServer server(loop, kLoopbackIp, 0);
+  server.set_handler([&loop](SvcRequest req, SvcRespondFn respond) {
+    if (req.key == "first") {
+      respond(SvcResponse::ok(1));
+      return;
+    }
+    loop.set_timer(kMillisecond, [respond = std::move(respond)]() {
+      respond(SvcResponse::ok(1));
+    });
+  });
+  const int fd = connect_raw(server.bound_port());
+  const int delayed = 0;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_QUICKACK, &delayed, sizeof(delayed));
+  constexpr int kPairs = 9;
+  std::vector<SimDuration> second_reply_us;
+  std::string in;
+  std::uint64_t id = 0;
+  for (int pair = 0; pair < kPairs; ++pair) {
+    const std::string frames =
+        request_frame(id + 1, make_request(SvcOp::Get, 0, "first")) +
+        request_frame(id + 2, make_request(SvcOp::Get, 0, "second"));
+    id += 2;
+    ASSERT_EQ(::send(fd, frames.data(), frames.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(frames.size()));
+    const SimTime sent = loop.now();
+    std::vector<svc::WireResponse> responses;
+    while (responses.size() < 2 && loop.now() - sent < 500 * kMillisecond) {
+      loop.run_for(200);
+      if (read_responses(fd, in, responses) > 0) {
+        // The kernel re-enables quick ACKs on its own; clear it again
+        // after every read so the first reply stays unacknowledged.
+        ::setsockopt(fd, IPPROTO_TCP, TCP_QUICKACK, &delayed,
+                     sizeof(delayed));
+      }
+    }
+    ASSERT_EQ(responses.size(), 2u);
+    second_reply_us.push_back(loop.now() - sent);
+  }
+  std::sort(second_reply_us.begin(), second_reply_us.end());
+  EXPECT_LT(second_reply_us[kPairs / 2], 15 * kMillisecond)
+      << "the second reply of a pair waited for the client's delayed ACK";
+  ::close(fd);
+}
+
+/// The server's end of `client_fd`'s loopback connection: in this process,
+/// the socket whose peer address is the client's local one.
+int accepted_end(int client_fd) {
+  sockaddr_in local{};
+  socklen_t len = sizeof(local);
+  if (::getsockname(client_fd, reinterpret_cast<sockaddr*>(&local), &len) != 0)
+    return -1;
+  for (int fd = 3; fd < 1024; ++fd) {
+    if (fd == client_fd) continue;
+    sockaddr_in peer{};
+    socklen_t peer_len = sizeof(peer);
+    if (::getpeername(fd, reinterpret_cast<sockaddr*>(&peer), &peer_len) ==
+            0 &&
+        peer_len == sizeof(peer) && peer.sin_port == local.sin_port &&
+        peer.sin_addr.s_addr == local.sin_addr.s_addr)
+      return fd;
+  }
+  return -1;
+}
+
+TEST(SvcServer, ReplyBacklogStaysBoundedForASteadySlowReader) {
+  // A client that reads steadily but never catches up: the server always
+  // has unsent replies, yet never more than max_out_bytes of them. The
+  // reply buffer must hold only that unsent tail, not everything written
+  // since the connection last drained.
+  net::EventLoop loop;
+  svc::SvcServerConfig config;
+  config.max_out_bytes = 32 * 1024;
+  svc::SvcServer server(loop, kLoopbackIp, 0, config);
+  const std::string value(200, 'v');
+  server.set_handler([&value](SvcRequest, SvcRespondFn respond) {
+    respond(SvcResponse::ok(1, value));
+  });
+  std::string reply;
+  svc::append_frame(reply, svc::encode_response(1, SvcResponse::ok(1, value)));
+  const std::size_t frame = reply.size();
+
+  const int fd = connect_raw(server.bound_port(), /*rcvbuf=*/4096);
+  for (int i = 0; i < 100 && server.connections() == 0; ++i)
+    loop.run_for(kMillisecond);
+  const int server_fd = accepted_end(fd);
+  ASSERT_GE(server_fd, 0);
+  // Small kernel buffers on both ends, so the backlog lands in the
+  // server's own buffer within a few dozen replies.
+  const int sndbuf = 4096;
+  ::setsockopt(server_fd, SOL_SOCKET, SO_SNDBUF, &sndbuf, sizeof(sndbuf));
+
+  std::size_t requested = 0;
+  std::size_t read_bytes = 0;
+  std::size_t peak_buffered = 0;
+  int samples = 0;
+  int backlogged_samples = 0;
+  std::string in;
+  std::vector<svc::WireResponse> responses;
+  const std::string get = request_frame(1, make_request(SvcOp::Get, 0, "k"));
+  for (int i = 0; i < 20000 && read_bytes < 4 * config.max_out_bytes; ++i) {
+    // Unsent replies still in the server process: everything asked for
+    // and not yet read, minus what sits in either kernel's queue. Top it
+    // up to a third of the cap, well clear of the slow-consumer guard.
+    int inq = 0;
+    int outq = 0;
+    ::ioctl(fd, SIOCINQ, &inq);
+    ::ioctl(server_fd, SIOCOUTQ, &outq);
+    const std::ptrdiff_t held =
+        static_cast<std::ptrdiff_t>(requested * frame - read_bytes) - inq -
+        outq;
+    if (held < static_cast<std::ptrdiff_t>(config.max_out_bytes / 3)) {
+      std::string batch;
+      for (int k = 0; k < 8; ++k) batch += get;
+      ASSERT_EQ(::send(fd, batch.data(), batch.size(), MSG_NOSIGNAL),
+                static_cast<ssize_t>(batch.size()));
+      requested += 8;
+    }
+    loop.run_for(200);
+    read_bytes += read_responses(fd, in, responses, 1024);
+    const std::size_t buffered = server.out_buffered_bytes();
+    peak_buffered = std::max(peak_buffered, buffered);
+    ++samples;
+    if (buffered > 0) ++backlogged_samples;
+  }
+  EXPECT_GE(read_bytes, 4 * config.max_out_bytes);
+  EXPECT_EQ(server.stats().slow_consumer_closed, 0u);
+  // The scenario held: the server was behind at nearly every sample...
+  EXPECT_GT(backlogged_samples, samples * 9 / 10);
+  // ...and its buffer never outgrew the cap by more than one frame.
+  EXPECT_LE(peak_buffered, config.max_out_bytes + frame);
+  obs::MetricsRegistry registry;
+  server.export_metrics(registry);
+  EXPECT_LE(registry.gauge("svc.out_buffered_bytes").value(),
+            static_cast<double>(config.max_out_bytes + frame));
+  ::close(fd);
 }
 
 // ----------------------------------------------- group objects + fencing ---
