@@ -189,7 +189,7 @@ void EvsEndpoint::handle_fwd(ProcessId sender, Decoder& dec) {
   const std::uint64_t lseq = dec.get_varint();
   Bytes body = dec.get_bytes();
   const MsgKey key{sender, lseq};
-  if (delivered_keys_.contains(key)) return;  // stamped copy already seen
+  if (delivered_.contains(sender, lseq)) return;  // stamped copy already seen
   unordered_.emplace(key, std::move(body));
   if (is_sequencer() && !blocked()) {
     const auto it = unordered_.find(key);
@@ -209,7 +209,7 @@ void EvsEndpoint::handle_stamped(Decoder& dec) {
   const std::uint64_t lseq = dec.get_varint();
   Bytes body = dec.get_bytes();
   const MsgKey key{origin, lseq};
-  if (!delivered_keys_.insert(key).second) return;  // duplicate
+  if (!delivered_.insert(origin, lseq)) return;  // duplicate
   unordered_.erase(key);
   deliver_app(origin, body);
 }
@@ -302,7 +302,7 @@ void EvsEndpoint::on_view(const gms::View& view, const vsync::InstallInfo& info)
     }
   }
   unordered_.clear();
-  delivered_keys_.clear();
+  delivered_.clear();
   lseq_ = 0;
 
   // 2. Decode every member's frozen structure context.

@@ -29,10 +29,10 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <set>
 #include <vector>
 
 #include "evs/structure.hpp"
+#include "order/delivered_set.hpp"
 #include "vsync/endpoint.hpp"
 
 namespace evs::core {
@@ -147,7 +147,7 @@ class EvsEndpoint : public vsync::Endpoint, private vsync::Delegate {
   using MsgKey = std::pair<ProcessId, std::uint64_t>;
   std::uint64_t lseq_ = 0;
   std::map<MsgKey, Bytes> unordered_;
-  std::set<MsgKey> delivered_keys_;
+  order::DeliveredSet delivered_;
 
   // Work queued while the endpoint is frozen for a view change.
   std::deque<Bytes> app_queue_;

@@ -129,11 +129,6 @@ bool parse_node_config(std::istream& in, NodeConfig& out, std::string& error) {
       if (!(fields >> dir)) return fail("expected: store <directory>");
       if (!out.store_dir.empty()) return fail("duplicate store");
       out.store_dir = dir;
-    } else if (keyword == "coalesce") {
-      std::string value;
-      if (!(fields >> value) || (value != "on" && value != "off"))
-        return fail("expected: coalesce on|off");
-      out.coalesce = value == "on";
     } else if (keyword == "group") {
       std::uint32_t id = 0;
       std::string object;

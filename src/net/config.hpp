@@ -15,8 +15,6 @@
 //   admin_token hunter2      # shared secret enabling the admin write side
 //   svc 0 127.0.0.1:9200     # optional per-node client service endpoint
 //   svc 1 127.0.0.1:9201     # (binary request/response, see svc/server.hpp)
-//   coalesce off             # optional; default on (pack small frames
-//                            # into one datagram per peer per flush)
 //   store /var/lib/evs/s0    # optional durable store directory (WAL +
 //                            # snapshots, src/store/); omitted = volatile
 //   group 0 kv               # optional: group instances this process
@@ -33,7 +31,7 @@
 // tools (tools/evs_top, tools/evs_ctl) find every node's endpoint from
 // one file. A `svc` line for `self` additionally serves the external-client
 // front door there (length-prefixed binary request/response, svc/server.hpp);
-// svc lines for other sites let load generators (tools/svc_bench) find the
+// svc lines for other sites let load generators (tools/loadgen) find the
 // whole fleet. An `admin_token` line (one word, no spaces) arms the admin
 // plane's POST side: control commands (/join, /leave, /merge-all,
 // /merge) are only accepted when they carry the same token, and a config
@@ -97,9 +95,6 @@ struct NodeConfig {
   /// addressed to a stale one), and hosted objects persist their state
   /// and rejoin via bounded-delta state transfer.
   std::string store_dir;
-  /// Small-message coalescing on the wire path (UdpTransport); on by
-  /// default, `coalesce off` pins every frame to its own datagram.
-  bool coalesce = true;
   /// Group instances to host, in file order (ids unique). Empty = the
   /// single default group, configured by the host binary as before.
   std::vector<GroupSpec> groups;

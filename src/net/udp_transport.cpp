@@ -43,7 +43,7 @@ constexpr std::size_t kMaxBatch = 1024;
 }  // namespace
 
 UdpTransport::UdpTransport(EventLoop& loop, NodeConfig config)
-    : loop_(loop), config_(std::move(config)), coalesce_(config_.coalesce) {
+    : loop_(loop), config_(std::move(config)) {
   fd_ = ::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   EVS_CHECK_MSG(fd_ >= 0, "socket() failed");
 
@@ -216,16 +216,13 @@ void UdpTransport::flush() {
       // Greedy pack: as many following frames for this destination as fit
       // under kMaxPayload (with their length prefixes) and the frame cap.
       std::size_t count = 1;
-      if (coalesce_) {
-        std::size_t wire =
-            kSubFramePrefix + pending_[frames[i]].payload.size();
-        while (i + count < frames.size() && count < kMaxFramesPerDatagram) {
-          const std::size_t next =
-              kSubFramePrefix + pending_[frames[i + count]].payload.size();
-          if (wire + next > kMaxPayload) break;
-          wire += next;
-          ++count;
-        }
+      std::size_t wire = kSubFramePrefix + pending_[frames[i]].payload.size();
+      while (i + count < frames.size() && count < kMaxFramesPerDatagram) {
+        const std::size_t next =
+            kSubFramePrefix + pending_[frames[i + count]].payload.size();
+        if (wire + next > kMaxPayload) break;
+        wire += next;
+        ++count;
       }
 
       const std::size_t d = out_msgs_.size();

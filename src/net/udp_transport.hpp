@@ -161,17 +161,11 @@ class UdpTransport final : public runtime::Transport {
   }
 
   /// Transmits everything queued since the last flush: groups frames per
-  /// (site, incarnation, group, trace), coalesces where enabled, and
+  /// (site, incarnation, group, trace), coalesces small frames, and
   /// issues one sendmmsg per <= 1024 datagrams. Idempotent when the queue
   /// is empty.
   void flush();
   std::size_t pending_frames() const { return pending_.size(); }
-
-  /// Toggles small-message coalescing (initialized from config.coalesce).
-  /// Batched sendmmsg and the wire format are unaffected; this only
-  /// controls whether a flush may pack frames together.
-  void set_coalescing(bool on) { coalesce_ = on; }
-  bool coalescing() const { return coalesce_; }
 
   /// Partition emulation: drop all traffic in both directions (incoming
   /// datagrams are discarded on receive, outgoing at enqueue time).
@@ -217,7 +211,6 @@ class UdpTransport final : public runtime::Transport {
   std::unordered_map<GroupId, DeliverFn> deliver_;
   UdpStats stats_;
   std::map<GroupId, GroupWireStats> group_stats_;
-  bool coalesce_ = true;
   bool drop_all_ = false;
   /// Trace context stamped onto frames at enqueue time (0 = untraced).
   std::uint64_t current_trace_ = 0;

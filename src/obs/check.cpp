@@ -54,6 +54,73 @@ const char* transition_name(std::uint64_t t) {
   return "?";
 }
 
+// Figure 1 mode numbering, as ModeTransition events carry it.
+constexpr std::uint64_t kNormal = 0, kReduced = 1, kSettling = 2;
+
+// P6.3 for one EviewChange `e` against the same process's previous one in
+// the same view: the e-view seq strictly increases and the structure
+// never grows.
+void check_structure_step(const StructureMark& prev, const TraceEvent& e,
+                          std::vector<Violation>& out) {
+  if (e.seq <= prev.seq) {
+    std::ostringstream os;
+    os << "process " << proc_str(e.proc) << " in view " << view_str(e.view)
+       << ": e-view seq went " << prev.seq << " -> " << e.seq
+       << " (must strictly increase)";
+    out.push_back({"Structure (P6.3)", os.str()});
+  }
+  if (e.value > prev.subviews || e.aux > prev.svsets) {
+    std::ostringstream os;
+    os << "process " << proc_str(e.proc) << " in view " << view_str(e.view)
+       << ": structure grew within the view (subviews " << prev.subviews
+       << " -> " << e.value << ", sv-sets " << prev.svsets << " -> " << e.aux
+       << ")";
+    out.push_back({"Structure (P6.3)", os.str()});
+  }
+}
+
+// Figure 1 for one ModeTransition `e` of a process that was in `mode`:
+// the transition leaves that mode (the chain is continuous) along one of
+// the four legal edges.
+void check_mode_step(std::uint64_t mode, const TraceEvent& e,
+                     std::vector<Violation>& out) {
+  const std::uint64_t via = e.seq, to = e.value, from = e.aux;
+  if (from != mode) {
+    std::ostringstream os;
+    os << "process " << proc_str(e.proc) << " reports a transition out of "
+       << mode_name(from) << " but was in " << mode_name(mode);
+    out.push_back({"Modes (Figure 1)", os.str()});
+  }
+  const bool legal =
+      (via == 0 && (from == kNormal || from == kSettling) && to == kReduced) ||
+      (via == 1 && from == kReduced && to == kSettling) ||
+      (via == 2 && (from == kNormal || from == kSettling) && to == kSettling) ||
+      (via == 3 && from == kSettling && to == kNormal);
+  if (!legal) {
+    std::ostringstream os;
+    os << "process " << proc_str(e.proc) << " took an illegal edge "
+       << mode_name(from) << " -> " << mode_name(to) << " via "
+       << transition_name(via);
+    out.push_back({"Modes (Figure 1)", os.str()});
+  }
+}
+
+// The state tracked under `key`, inserted as `initial` when new (second =
+// true); nullptr once `map` is full and `key` is new, counted in
+// `saturated`: past the cap the checker under-reports, it never evicts.
+template <class Map>
+std::pair<typename Map::mapped_type*, bool> track(
+    Map& map, const typename Map::key_type& key,
+    const typename Map::mapped_type& initial, std::uint64_t& saturated) {
+  const auto it = map.find(key);
+  if (it != map.end()) return {&it->second, false};
+  if (map.size() >= LiveChecker::kMaxTracked) {
+    ++saturated;
+    return {nullptr, false};
+  }
+  return {&map.emplace(key, initial).first->second, true};
+}
+
 }  // namespace
 
 // P2.2: every message is delivered in at most one view, globally.
@@ -156,29 +223,14 @@ std::vector<Violation> RunChecker::check_agreement(
 std::vector<Violation> RunChecker::check_structure(
     const std::vector<TraceEvent>& events) {
   std::vector<Violation> out;
-  std::map<std::pair<ProcessId, ViewId>, TraceEvent> last;
+  std::map<std::pair<ProcessId, ViewId>, StructureMark> last;
   for (const TraceEvent& e : events) {
     if (e.kind != EventKind::EviewChange) continue;
-    const std::pair<ProcessId, ViewId> key{e.proc, e.view};
-    const auto prev = last.find(key);
-    if (prev != last.end()) {
-      const TraceEvent& p = prev->second;
-      if (e.seq <= p.seq) {
-        std::ostringstream os;
-        os << "process " << proc_str(e.proc) << " in view " << view_str(e.view)
-           << ": e-view seq went " << p.seq << " -> " << e.seq
-           << " (must strictly increase)";
-        out.push_back({"Structure (P6.3)", os.str()});
-      }
-      if (e.value > p.value || e.aux > p.aux) {
-        std::ostringstream os;
-        os << "process " << proc_str(e.proc) << " in view " << view_str(e.view)
-           << ": structure grew within the view (subviews " << p.value << " -> "
-           << e.value << ", sv-sets " << p.aux << " -> " << e.aux << ")";
-        out.push_back({"Structure (P6.3)", os.str()});
-      }
-    }
-    last[key] = e;
+    const StructureMark mark{e.seq, e.value, e.aux};
+    const auto [prev, fresh] = last.try_emplace({e.proc, e.view}, mark);
+    if (fresh) continue;
+    check_structure_step(prev->second, e, out);
+    prev->second = mark;
   }
   return out;
 }
@@ -187,34 +239,13 @@ std::vector<Violation> RunChecker::check_structure(
 // a chain starting from SETTLING (every process joins settling).
 std::vector<Violation> RunChecker::check_modes(
     const std::vector<TraceEvent>& events) {
-  constexpr std::uint64_t kNormal = 0, kReduced = 1, kSettling = 2;
   std::vector<Violation> out;
   std::map<ProcessId, std::uint64_t> mode_of;
   for (const TraceEvent& e : events) {
     if (e.kind != EventKind::ModeTransition) continue;
-    const std::uint64_t via = e.seq, to = e.value, from = e.aux;
-    const auto known = mode_of.find(e.proc);
-    const std::uint64_t expected =
-        known == mode_of.end() ? kSettling : known->second;
-    if (from != expected) {
-      std::ostringstream os;
-      os << "process " << proc_str(e.proc) << " reports a transition out of "
-         << mode_name(from) << " but was in " << mode_name(expected);
-      out.push_back({"Modes (Figure 1)", os.str()});
-    }
-    const bool legal =
-        (via == 0 && (from == kNormal || from == kSettling) && to == kReduced) ||
-        (via == 1 && from == kReduced && to == kSettling) ||
-        (via == 2 && (from == kNormal || from == kSettling) && to == kSettling) ||
-        (via == 3 && from == kSettling && to == kNormal);
-    if (!legal) {
-      std::ostringstream os;
-      os << "process " << proc_str(e.proc) << " took an illegal edge "
-         << mode_name(from) << " -> " << mode_name(to) << " via "
-         << transition_name(via);
-      out.push_back({"Modes (Figure 1)", os.str()});
-    }
-    mode_of[e.proc] = to;
+    std::uint64_t& mode = mode_of.try_emplace(e.proc, kSettling).first->second;
+    check_mode_step(mode, e, out);
+    mode = e.value;
   }
   return out;
 }
@@ -245,106 +276,47 @@ std::vector<Violation> RunChecker::check(const std::vector<TraceEvent>& events) 
 // ----------------------------------------------------------------------
 // LiveChecker: the incremental, local-only slices of the same oracles.
 
-void LiveChecker::report(GroupId group, std::string property,
-                         std::string detail) {
-  ++violations_;
-  ++group_violations_[group];
-  recent_.push_back({std::move(property), std::move(detail)});
-  while (recent_.size() > kMaxRecent) recent_.pop_front();
-}
-
 void LiveChecker::observe(const TraceEvent& e) {
   ++events_checked_;
+  std::vector<Violation> found;
   switch (e.kind) {
     case EventKind::MessageDelivered:
     case EventKind::FlushDelivery: {
       const MsgId id{e.peer, e.value};
-      const auto key = std::make_tuple(e.group, e.proc, id);
-      const auto it = delivered_.find(key);
-      if (it == delivered_.end()) {
-        if (delivered_.size() >= kMaxTracked) {
-          ++saturated_;
-          return;
-        }
-        delivered_[key] = DeliveryState{e.view, false};
-        return;
-      }
-      if (it->second.duplicate_reported) return;
-      it->second.duplicate_reported = true;
-      if (it->second.first_view == e.view) {
-        report(e.group, "Integrity (P2.3)",
-               "process " + proc_str(e.proc) + " delivered " + msg_str(id) +
-                   " more than once in view " + view_str(e.view));
+      const auto [state, fresh] =
+          track(delivered_, {e.group, e.proc, id}, {e.view, false}, saturated_);
+      if (state == nullptr || fresh || state->duplicate_reported) break;
+      state->duplicate_reported = true;
+      if (state->first_view == e.view) {
+        found.push_back({"Integrity (P2.3)",
+                         "process " + proc_str(e.proc) + " delivered " +
+                             msg_str(id) + " more than once in view " +
+                             view_str(e.view)});
       } else {
-        report(e.group, "Uniqueness (P2.2)",
-               "process " + proc_str(e.proc) + " delivered " + msg_str(id) +
-                   " in views " + view_str(it->second.first_view) + " and " +
-                   view_str(e.view));
+        found.push_back({"Uniqueness (P2.2)",
+                         "process " + proc_str(e.proc) + " delivered " +
+                             msg_str(id) + " in views " +
+                             view_str(state->first_view) + " and " +
+                             view_str(e.view)});
       }
-      return;
+      break;
     }
     case EventKind::EviewChange: {
-      const auto key = std::make_tuple(e.group, e.proc, e.view);
-      const auto it = structure_.find(key);
-      if (it == structure_.end()) {
-        if (structure_.size() >= kMaxTracked) {
-          ++saturated_;
-          return;
-        }
-        structure_[key] = StructureState{e.seq, e.value, e.aux};
-        return;
-      }
-      StructureState& prev = it->second;
-      if (e.seq <= prev.seq) {
-        std::ostringstream os;
-        os << "process " << proc_str(e.proc) << " in view " << view_str(e.view)
-           << ": e-view seq went " << prev.seq << " -> " << e.seq;
-        report(e.group, "Structure (P6.3)", os.str());
-      }
-      if (e.value > prev.subviews || e.aux > prev.svsets) {
-        std::ostringstream os;
-        os << "process " << proc_str(e.proc) << " in view " << view_str(e.view)
-           << ": structure grew within the view (subviews " << prev.subviews
-           << " -> " << e.value << ", sv-sets " << prev.svsets << " -> "
-           << e.aux << ")";
-        report(e.group, "Structure (P6.3)", os.str());
-      }
-      prev = StructureState{e.seq, e.value, e.aux};
-      return;
+      const StructureMark mark{e.seq, e.value, e.aux};
+      const auto [prev, fresh] =
+          track(structure_, {e.group, e.proc, e.view}, mark, saturated_);
+      if (prev == nullptr || fresh) break;
+      check_structure_step(*prev, e, found);
+      *prev = mark;
+      break;
     }
     case EventKind::ModeTransition: {
-      constexpr std::uint64_t kNormal = 0, kReduced = 1, kSettling = 2;
-      const std::uint64_t via = e.seq, to = e.value, from = e.aux;
-      const auto key = std::make_pair(e.group, e.proc);
-      const auto known = mode_.find(key);
-      if (known == mode_.end() && mode_.size() >= kMaxTracked) {
-        ++saturated_;
-        return;
-      }
-      const std::uint64_t expected =
-          known == mode_.end() ? kSettling : known->second;
-      if (from != expected) {
-        std::ostringstream os;
-        os << "process " << proc_str(e.proc) << " reports a transition out of "
-           << mode_name(from) << " but was in " << mode_name(expected);
-        report(e.group, "Modes (Figure 1)", os.str());
-      }
-      const bool legal =
-          (via == 0 && (from == kNormal || from == kSettling) &&
-           to == kReduced) ||
-          (via == 1 && from == kReduced && to == kSettling) ||
-          (via == 2 && (from == kNormal || from == kSettling) &&
-           to == kSettling) ||
-          (via == 3 && from == kSettling && to == kNormal);
-      if (!legal) {
-        std::ostringstream os;
-        os << "process " << proc_str(e.proc) << " took an illegal edge "
-           << mode_name(from) << " -> " << mode_name(to) << " via "
-           << transition_name(via);
-        report(e.group, "Modes (Figure 1)", os.str());
-      }
-      mode_[key] = to;
-      return;
+      const auto [mode, fresh] =
+          track(mode_, {e.group, e.proc}, kSettling, saturated_);
+      if (mode == nullptr) break;
+      check_mode_step(*mode, e, found);
+      *mode = e.value;
+      break;
     }
     case EventKind::RequestAdmitted:
     case EventKind::RequestOrdered:
@@ -355,30 +327,31 @@ void LiveChecker::observe(const TraceEvent& e) {
       // that process's own clock; a rank regression (Admitted after
       // Replied) is a *new cycle* of a reused trace id, legal as long as
       // time still advances. RequestFenced is out of band and unchecked.
-      const std::uint8_t rank = static_cast<std::uint8_t>(
-          static_cast<int>(e.kind) - static_cast<int>(EventKind::RequestAdmitted));
-      const auto key = std::make_tuple(e.group, e.seq, e.proc);
-      const auto it = requests_.find(key);
-      if (it == requests_.end()) {
-        if (requests_.size() >= kMaxTracked) {
-          ++saturated_;
-          return;
-        }
-        requests_[key] = RequestState{rank, e.time};
-        return;
-      }
-      if (e.time < it->second.last_time) {
+      const RequestState now{
+          static_cast<std::uint8_t>(static_cast<int>(e.kind) -
+                                    static_cast<int>(EventKind::RequestAdmitted)),
+          e.time};
+      const auto [state, fresh] =
+          track(requests_, {e.group, e.seq, e.proc}, now, saturated_);
+      if (state == nullptr || fresh) break;
+      if (e.time < state->last_time) {
         std::ostringstream os;
         os << "request " << e.seq << " at process " << proc_str(e.proc)
            << ": phase " << to_string(e.kind) << " at t=" << e.time
-           << " precedes the prior phase at t=" << it->second.last_time;
-        report(e.group, "Request phases", os.str());
+           << " precedes the prior phase at t=" << state->last_time;
+        found.push_back({"Request phases", os.str()});
       }
-      it->second = RequestState{rank, e.time};
-      return;
+      *state = now;
+      break;
     }
     default:
-      return;
+      break;
+  }
+  for (Violation& v : found) {
+    ++violations_;
+    ++group_violations_[e.group];
+    recent_.push_back(std::move(v));
+    if (recent_.size() > kMaxRecent) recent_.pop_front();
   }
 }
 

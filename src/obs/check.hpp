@@ -44,6 +44,14 @@ struct Violation {
   std::string str() const { return property + ": " + detail; }
 };
 
+/// The structure a process last reported by an EviewChange event: the
+/// baseline for the next one in the same view (P6.3).
+struct StructureMark {
+  std::uint64_t seq = 0;
+  std::uint64_t subviews = 0;
+  std::uint64_t svsets = 0;
+};
+
 class RunChecker {
  public:
   /// All checks; violations in property order, worst-offender lists
@@ -112,8 +120,6 @@ class LiveChecker {
   std::string health_json() const;
 
  private:
-  void report(GroupId group, std::string property, std::string detail);
-
   // --- per-property incremental state, all keyed under the group label
   // so one shared bus checks every hosted group's slice independently.
   using MsgId = std::pair<ProcessId, std::uint64_t>;  // (sender, payload hash)
@@ -122,12 +128,7 @@ class LiveChecker {
     bool duplicate_reported = false;
   };
   std::map<std::tuple<GroupId, ProcessId, MsgId>, DeliveryState> delivered_;
-  struct StructureState {
-    std::uint64_t seq = 0;
-    std::uint64_t subviews = 0;
-    std::uint64_t svsets = 0;
-  };
-  std::map<std::tuple<GroupId, ProcessId, ViewId>, StructureState> structure_;
+  std::map<std::tuple<GroupId, ProcessId, ViewId>, StructureMark> structure_;
   std::map<std::pair<GroupId, ProcessId>, std::uint64_t> mode_;
   struct RequestState {
     std::uint8_t last_phase = 0;  // rank within the Request* order

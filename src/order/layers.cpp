@@ -196,7 +196,7 @@ void TotalLayer::on_deliver(ProcessId sender, const Bytes& payload) {
     const std::uint64_t lseq = dec.get_varint();
     Bytes body = dec.get_bytes();
     const MsgKey key{sender, lseq};
-    if (delivered_keys_.contains(key)) return;  // stamped copy came first
+    if (delivered_.contains(sender, lseq)) return;  // stamped copy came first
     unordered_.emplace(key, std::move(body));
     // Sequencer stamps it (unless frozen — then the view-change drain will
     // deliver it deterministically).
@@ -220,8 +220,7 @@ void TotalLayer::on_deliver(ProcessId sender, const Bytes& payload) {
   dec.get_varint();  // gseq: FIFO from the sequencer already orders these
   Bytes body = dec.get_bytes();
   const MsgKey key{origin, lseq};
-  if (delivered_keys_.contains(key)) return;  // duplicate stamp
-  delivered_keys_.insert(key);
+  if (!delivered_.insert(origin, lseq)) return;  // duplicate stamp
   unordered_.erase(key);
   deliver(origin, body);
 }
@@ -243,7 +242,7 @@ void TotalLayer::on_view(const gms::View& view, const vsync::InstallInfo& info) 
   }
   for (const auto& [key, body] : unordered_) deliver(key.first, body);
   unordered_.clear();
-  delivered_keys_.clear();
+  delivered_.clear();
   lseq_ = 0;
   gseq_out_ = 0;
   up_.on_view(view, info);

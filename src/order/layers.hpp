@@ -18,9 +18,9 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <vector>
 
+#include "order/delivered_set.hpp"
 #include "order/vector_clock.hpp"
 #include "vsync/endpoint.hpp"
 
@@ -118,7 +118,7 @@ class TotalLayer : public vsync::Delegate {
   std::uint64_t lseq_ = 0;        // own forward counter (per view)
   std::uint64_t gseq_out_ = 0;    // sequencer's stamp counter (per view)
   std::map<MsgKey, Bytes> unordered_;  // forwarded, not yet stamped
-  std::set<MsgKey> delivered_keys_;    // stamped & delivered
+  DeliveredSet delivered_;             // stamped & delivered
   LayerStats stats_;
 };
 

@@ -2,7 +2,7 @@
 // hosting FOUR log-shard group instances (G=4) over one socket/loop/
 // timer wheel, driven through the svc front door on 127.0.0.1.
 //
-//   usage: log_loopback_test <evs_node> <trace_check> <log_bench>
+//   usage: log_loopback_test <evs_node> <trace_check> <loadgen>
 //
 // The contract under test (ISSUE 8): one process hosts many groups; the
 // four shards form one shared log whose global positions interleave
@@ -23,7 +23,8 @@
 //      SIGSTOP-induced view change outruns it; the 2-view majority keeps
 //      appending; SIGCONT re-merges all four groups and the revived node
 //      serves reads of records it never saw appended (state transfer),
-//   7. a short log_bench run (open-loop load + SDK verify pass) exits 0:
+//   7. a short `loadgen --op append` run (open-loop load + SDK verify
+//      pass) exits 0:
 //      no duplicate positions, nothing lost,
 //   8. SIGTERM everything; the merged traces pass trace_check, which
 //      splits by group label and checks each group's slice on its own.
@@ -31,34 +32,26 @@
 // Plain main() runner (no gtest): exit 0 on success, 1 on failure with a
 // narrated transcript on stderr. RUN_SERIAL in ctest (fixed loopback
 // ports, real forked processes).
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
 #include <signal.h>
-#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <memory>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <functional>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
-#include "runtime/svc.hpp"
-#include "svc/protocol.hpp"
+#include "support/loopback.hpp"
 
 namespace {
 
-using evs::Bytes;
+using namespace evs::loopback;
 using evs::runtime::SvcOp;
 using evs::runtime::SvcRequest;
 using evs::runtime::SvcResponse;
@@ -66,104 +59,6 @@ using evs::runtime::SvcStatus;
 
 constexpr int kNodes = 3;
 constexpr int kShards = 4;  // groups 1..4, shard index = id - 1
-
-std::function<void()> g_on_fail;
-
-[[noreturn]] void die(const std::string& message) {
-  std::fprintf(stderr, "FAIL: %s\n", message.c_str());
-  if (g_on_fail) g_on_fail();
-  std::exit(1);
-}
-
-std::uint16_t free_port() {
-  const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
-  if (fd < 0) die("socket() failed");
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0)
-    die("bind() failed");
-  socklen_t len = sizeof(addr);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0)
-    die("getsockname() failed");
-  const std::uint16_t port = ntohs(addr.sin_port);
-  ::close(fd);
-  return port;
-}
-
-struct Child {
-  pid_t pid = -1;
-  int out_fd = -1;
-  std::string out;
-  bool exited = false;
-  int exit_status = -1;
-};
-
-Child spawn_node(const std::string& binary, const std::string& config_path,
-                 const std::string& trace_dir) {
-  int pipe_fds[2];
-  if (::pipe(pipe_fds) != 0) die("pipe() failed");
-  const pid_t pid = ::fork();
-  if (pid < 0) die("fork() failed");
-  if (pid == 0) {
-    ::dup2(pipe_fds[1], STDOUT_FILENO);
-    ::close(pipe_fds[0]);
-    ::close(pipe_fds[1]);
-    ::setenv("EVS_TRACE_OUT", trace_dir.c_str(), 1);
-    std::vector<std::string> args = {binary, "--config", config_path,
-                                     "--trace-flush-ms", "100"};
-    std::vector<char*> argv;
-    for (const std::string& a : args)
-      argv.push_back(const_cast<char*>(a.c_str()));
-    argv.push_back(nullptr);
-    ::execv(argv[0], argv.data());
-    std::perror("execv");
-    _exit(127);
-  }
-  ::close(pipe_fds[1]);
-  ::fcntl(pipe_fds[0], F_SETFL, O_NONBLOCK);
-  Child child;
-  child.pid = pid;
-  child.out_fd = pipe_fds[0];
-  return child;
-}
-
-bool drain(std::vector<Child>& children, int timeout_ms) {
-  std::vector<pollfd> fds;
-  for (Child& c : children)
-    if (c.out_fd >= 0) fds.push_back({c.out_fd, POLLIN, 0});
-  if (fds.empty()) return false;
-  if (::poll(fds.data(), fds.size(), timeout_ms) <= 0) return false;
-  bool got = false;
-  for (Child& c : children) {
-    if (c.out_fd < 0) continue;
-    char buf[4096];
-    for (;;) {
-      const ssize_t n = ::read(c.out_fd, buf, sizeof(buf));
-      if (n > 0) {
-        c.out.append(buf, static_cast<std::size_t>(n));
-        got = true;
-      } else if (n == 0) {
-        ::close(c.out_fd);
-        c.out_fd = -1;
-        break;
-      } else {
-        break;  // EAGAIN
-      }
-    }
-  }
-  return got;
-}
-
-bool await(std::vector<Child>& children, int timeout_ms,
-           const std::function<bool()>& pred) {
-  for (int waited = 0; waited < timeout_ms;) {
-    if (pred()) return true;
-    drain(children, 50);
-    waited += 50;
-  }
-  return pred();
-}
 
 /// True when `out` (past `offset`) holds a view line for `group` whose
 /// same line also matches `needle` (e.g. "size=3 members=0,1,2").
@@ -196,143 +91,6 @@ int group_coordinator(const std::string& out, int group) {
   if (coord == std::string::npos) return -1;
   return std::atoi(out.c_str() + coord + sizeof("coordinator=") - 1);
 }
-
-void reap(Child& child) {
-  int status = 0;
-  if (::waitpid(child.pid, &status, 0) == child.pid) {
-    child.exited = true;
-    child.exit_status = status;
-  }
-  while (child.out_fd >= 0) {
-    char buf[4096];
-    const ssize_t n = ::read(child.out_fd, buf, sizeof(buf));
-    if (n > 0) {
-      child.out.append(buf, static_cast<std::size_t>(n));
-    } else {
-      ::close(child.out_fd);
-      child.out_fd = -1;
-    }
-  }
-}
-
-void dump_outputs(const std::vector<Child>& children) {
-  for (int i = 0; i < static_cast<int>(children.size()); ++i)
-    std::fprintf(stderr, "--- node%d output ---\n%s\n", i,
-                 children[i].out.c_str());
-}
-
-int run_and_wait(const std::vector<std::string>& args) {
-  const pid_t pid = ::fork();
-  if (pid < 0) die("fork() failed");
-  if (pid == 0) {
-    std::vector<char*> argv;
-    for (const std::string& a : args)
-      argv.push_back(const_cast<char*>(a.c_str()));
-    argv.push_back(nullptr);
-    ::execv(argv[0], argv.data());
-    std::perror("execv");
-    _exit(127);
-  }
-  int status = 0;
-  if (::waitpid(pid, &status, 0) != pid) return -1;
-  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-}
-
-// ------------------------------------------------------------- client ---
-
-/// Blocking external client on one persistent connection; dies loudly on
-/// any hang (the typed-response promise is part of what is under test).
-class SvcClient {
- public:
-  explicit SvcClient(std::uint16_t port) : port_(port) {}
-  ~SvcClient() { close_fd(); }
-
-  void connect_or_die() {
-    close_fd();
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd_ < 0) die("client socket() failed");
-    const int one = 1;
-    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(port_);
-    if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0)
-      die("client connect() to svc port failed");
-    rx_.clear();
-    rx_off_ = 0;
-  }
-
-  std::uint64_t send_request(const SvcRequest& req) {
-    if (fd_ < 0) connect_or_die();
-    const std::uint64_t id = next_id_++;
-    const Bytes body = evs::svc::encode_request(id, req);
-    std::string frame;
-    evs::svc::append_frame(frame, body);
-    std::size_t sent = 0;
-    while (sent < frame.size()) {
-      const ssize_t n = ::send(fd_, frame.data() + sent, frame.size() - sent,
-                               MSG_NOSIGNAL);
-      if (n <= 0) die("client send() failed");
-      sent += static_cast<std::size_t>(n);
-    }
-    return id;
-  }
-
-  SvcResponse recv_response(std::uint64_t id, int timeout_ms = 10000) {
-    for (int waited = 0;;) {
-      const auto parked = parked_.find(id);
-      if (parked != parked_.end()) {
-        SvcResponse resp = parked->second;
-        parked_.erase(parked);
-        return resp;
-      }
-      Bytes frame_body;
-      switch (evs::svc::next_frame(rx_, rx_off_, frame_body)) {
-        case evs::svc::FrameStatus::Frame: {
-          const auto wire = evs::svc::decode_response(frame_body);
-          parked_.emplace(wire.request_id, wire.resp);
-          continue;
-        }
-        case evs::svc::FrameStatus::Malformed:
-          die("server sent a malformed frame");
-        case evs::svc::FrameStatus::NeedMore:
-          break;
-      }
-      if (waited >= timeout_ms)
-        die("request " + std::to_string(id) +
-            " hung: no typed response within the deadline");
-      pollfd pfd{fd_, POLLIN, 0};
-      if (::poll(&pfd, 1, 200) > 0) {
-        char buf[4096];
-        const ssize_t n = ::read(fd_, buf, sizeof(buf));
-        if (n > 0)
-          rx_.append(buf, static_cast<std::size_t>(n));
-        else if (n == 0)
-          die("server closed the connection mid-request");
-      } else {
-        waited += 200;
-      }
-    }
-  }
-
-  SvcResponse call(const SvcRequest& req, int timeout_ms = 10000) {
-    return recv_response(send_request(req), timeout_ms);
-  }
-
- private:
-  void close_fd() {
-    if (fd_ >= 0) ::close(fd_);
-    fd_ = -1;
-  }
-
-  std::uint16_t port_;
-  int fd_ = -1;
-  std::string rx_;
-  std::size_t rx_off_ = 0;
-  std::uint64_t next_id_ = 1;
-  std::map<std::uint64_t, SvcResponse> parked_;
-};
 
 SvcRequest log_req(SvcOp op, std::string key = {}, std::string value = {}) {
   SvcRequest r;
@@ -385,13 +143,13 @@ void await_read(SvcClient& client, std::uint64_t pos, const std::string& want,
 
 int main(int argc, char** argv) {
   if (argc != 4) {
-    std::fprintf(stderr, "usage: %s <evs_node> <trace_check> <log_bench>\n",
+    std::fprintf(stderr, "usage: %s <evs_node> <trace_check> <loadgen>\n",
                  argv[0]);
     return 2;
   }
   const std::string evs_node = argv[1];
   const std::string trace_check = argv[2];
-  const std::string log_bench = argv[3];
+  const std::string loadgen = argv[3];
 
   char dir_template[] = "/tmp/evs_log_loopback_XXXXXX";
   if (::mkdtemp(dir_template) == nullptr) die("mkdtemp() failed");
@@ -417,7 +175,10 @@ int main(int argc, char** argv) {
 
   std::vector<Child> children;
   for (int i = 0; i < kNodes; ++i)
-    children.push_back(spawn_node(evs_node, config_paths[i], dir));
+    children.push_back(spawn_node({evs_node, "--config", config_paths[i],
+                                   "--trace-flush-ms", "100"},
+                                  dir));
+  g_children = &children;
   g_on_fail = [&children]() { dump_outputs(children); };
 
   // 1. Every node hosts all four shards and installs all four 3-views.
@@ -613,13 +374,13 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "ok: re-merged; revived node serves transferred log\n");
 
   // 7. Open-loop bench + SDK verify pass: exit 0 = no dups, nothing lost.
-  if (run_and_wait({log_bench, "--addr",
+  if (run_and_wait({loadgen, "--addr",
                     "127.0.0.1:" + std::to_string(svc_ports[coord]),
-                    "--shards", std::to_string(kShards), "--conns", "4",
-                    "--rate", "1500", "--duration-ms", "1500", "--drain-ms",
-                    "2000", "--key-space", "64", "--value-bytes", "32"}) != 0)
-    die("log_bench reported duplicate or lost appends");
-  std::fprintf(stderr, "ok: log_bench load + verify pass clean\n");
+                    "--op", "append", "--conns", "4", "--rate", "1500",
+                    "--duration-ms", "1500", "--drain-ms", "2000",
+                    "--key-space", "64", "--value-bytes", "32"}) != 0)
+    die("loadgen reported duplicate or lost appends");
+  std::fprintf(stderr, "ok: loadgen load + verify pass clean\n");
 
   // 7b. One sampled append: the trace context rides the svc frame into
   //     the ordered multicast, so after shutdown the merged dumps must

@@ -31,156 +31,25 @@
 // Plain main() runner (no gtest): exit 0 on success, 1 on failure with a
 // narrated transcript on stderr. Registered RUN_SERIAL in ctest since it
 // binds fixed-for-the-run loopback ports and forks real processes.
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <poll.h>
 #include <signal.h>
-#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <functional>
 #include <iterator>
 #include <string>
 #include <vector>
 
+#include "support/loopback.hpp"
+
 namespace {
 
+using namespace evs::loopback;
+
 constexpr int kNodes = 3;
-
-[[noreturn]] void die(const std::string& message) {
-  std::fprintf(stderr, "FAIL: %s\n", message.c_str());
-  std::exit(1);
-}
-
-std::uint16_t free_port() {
-  const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
-  if (fd < 0) die("socket() failed");
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0)
-    die("bind() failed");
-  socklen_t len = sizeof(addr);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0)
-    die("getsockname() failed");
-  const std::uint16_t port = ntohs(addr.sin_port);
-  ::close(fd);
-  return port;
-}
-
-struct Child {
-  pid_t pid = -1;
-  int out_fd = -1;
-  std::string out;  // everything the node printed so far
-  bool exited = false;
-  int exit_status = -1;
-};
-
-Child spawn_node(const std::string& binary, const std::string& config_path,
-                 const std::string& trace_dir) {
-  int pipe_fds[2];
-  if (::pipe(pipe_fds) != 0) die("pipe() failed");
-  const pid_t pid = ::fork();
-  if (pid < 0) die("fork() failed");
-  if (pid == 0) {
-    ::dup2(pipe_fds[1], STDOUT_FILENO);
-    ::close(pipe_fds[0]);
-    ::close(pipe_fds[1]);
-    ::setenv("EVS_TRACE_OUT", trace_dir.c_str(), 1);
-    ::execl(binary.c_str(), binary.c_str(), "--config", config_path.c_str(),
-            "--multicast", "100", "--send-interval-ms", "5",
-            "--trace-flush-ms", "100", "--merge-all",
-            static_cast<char*>(nullptr));
-    std::perror("execl");
-    _exit(127);
-  }
-  ::close(pipe_fds[1]);
-  ::fcntl(pipe_fds[0], F_SETFL, O_NONBLOCK);
-  Child child;
-  child.pid = pid;
-  child.out_fd = pipe_fds[0];
-  return child;
-}
-
-/// Reads whatever the children have printed; true if any data arrived.
-bool drain(std::vector<Child>& children, int timeout_ms) {
-  std::vector<pollfd> fds;
-  for (Child& c : children)
-    if (c.out_fd >= 0) fds.push_back({c.out_fd, POLLIN, 0});
-  if (fds.empty()) return false;
-  if (::poll(fds.data(), fds.size(), timeout_ms) <= 0) return false;
-  bool got = false;
-  for (Child& c : children) {
-    if (c.out_fd < 0) continue;
-    char buf[4096];
-    for (;;) {
-      const ssize_t n = ::read(c.out_fd, buf, sizeof(buf));
-      if (n > 0) {
-        c.out.append(buf, static_cast<std::size_t>(n));
-        got = true;
-      } else if (n == 0) {
-        ::close(c.out_fd);
-        c.out_fd = -1;
-        break;
-      } else {
-        break;  // EAGAIN
-      }
-    }
-  }
-  return got;
-}
-
-/// Pumps child output until `pred()` holds or ~timeout_ms passes.
-bool await(std::vector<Child>& children, int timeout_ms,
-           const std::function<bool()>& pred) {
-  for (int waited = 0; waited < timeout_ms;) {
-    if (pred()) return true;
-    drain(children, 50);
-    waited += 50;
-  }
-  return pred();
-}
-
-bool contains_after(const std::string& text, std::size_t offset,
-                    const std::string& needle) {
-  return text.find(needle, offset) != std::string::npos;
-}
-
-/// Blocking loopback HTTP/1.0 GET with a receive timeout; returns the
-/// whole response (headers + body) or "" on any failure.
-std::string http_get(std::uint16_t port, const std::string& path) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return {};
-  timeval tv{5, 0};
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return {};
-  }
-  const std::string request = "GET " + path + " HTTP/1.0\r\n\r\n";
-  if (::send(fd, request.data(), request.size(), 0) !=
-      static_cast<ssize_t>(request.size())) {
-    ::close(fd);
-    return {};
-  }
-  std::string response;
-  char buf[4096];
-  ssize_t n;
-  while ((n = ::read(fd, buf, sizeof(buf))) > 0)
-    response.append(buf, static_cast<std::size_t>(n));
-  ::close(fd);
-  return response;
-}
 
 /// Extracts the value of `"key":"..."` from a JSON body; "" if absent.
 std::string json_field(const std::string& body, const std::string& key) {
@@ -191,47 +60,6 @@ std::string json_field(const std::string& body, const std::string& key) {
   const std::size_t end = body.find('"', start);
   return end == std::string::npos ? std::string{}
                                   : body.substr(start, end - start);
-}
-
-int run_and_wait(const std::vector<std::string>& args) {
-  const pid_t pid = ::fork();
-  if (pid < 0) die("fork() failed");
-  if (pid == 0) {
-    std::vector<char*> argv;
-    for (const std::string& a : args)
-      argv.push_back(const_cast<char*>(a.c_str()));
-    argv.push_back(nullptr);
-    ::execv(argv[0], argv.data());
-    std::perror("execv");
-    _exit(127);
-  }
-  int status = 0;
-  ::waitpid(pid, &status, 0);
-  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-}
-
-void reap(Child& child) {
-  int status = 0;
-  if (::waitpid(child.pid, &status, 0) == child.pid) {
-    child.exited = true;
-    child.exit_status = status;
-  }
-  while (child.out_fd >= 0) {
-    char buf[4096];
-    const ssize_t n = ::read(child.out_fd, buf, sizeof(buf));
-    if (n > 0) {
-      child.out.append(buf, static_cast<std::size_t>(n));
-    } else {
-      ::close(child.out_fd);
-      child.out_fd = -1;
-    }
-  }
-}
-
-void dump_outputs(const std::vector<Child>& children) {
-  for (int i = 0; i < static_cast<int>(children.size()); ++i)
-    std::fprintf(stderr, "--- node%d output ---\n%s\n", i,
-                 children[i].out.c_str());
 }
 
 }  // namespace
@@ -272,7 +100,11 @@ int main(int argc, char** argv) {
 
   std::vector<Child> children;
   for (int i = 0; i < kNodes; ++i)
-    children.push_back(spawn_node(evs_node, config_paths[i], dir));
+    children.push_back(spawn_node(
+        {evs_node, "--config", config_paths[i], "--multicast", "100",
+         "--send-interval-ms", "5", "--trace-flush-ms", "100", "--merge-all"},
+        dir));
+  g_children = &children;
 
   // 1. Every node installs the common full view {0,1,2}.
   const std::string full_view = "size=3 members=0,1,2";

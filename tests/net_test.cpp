@@ -626,23 +626,6 @@ TEST_F(UdpPair, CoalescesSmallFramesIntoOneDatagramInOrder) {
   EXPECT_EQ(b_->stats().frames_received, 8u);
 }
 
-TEST_F(UdpPair, CoalescingOffSendsOneDatagramPerFrameInOneSyscall) {
-  ASSERT_TRUE(a_->coalescing());  // config default
-  a_->set_coalescing(false);
-  std::vector<Bytes> got;
-  b_->set_deliver(
-      [&](ProcessId, const Bytes& payload) { got.push_back(payload); });
-  for (std::uint8_t i = 0; i < 5; ++i) a_->send(b_->self(), Bytes{i});
-  ASSERT_TRUE(await([&]() { return got.size() == 5; }));
-  for (std::uint8_t i = 0; i < 5; ++i) EXPECT_EQ(got[i], Bytes{i});
-  // Five plain datagrams — but still one sendmmsg for the whole flush.
-  EXPECT_EQ(a_->stats().datagrams_sent, 5u);
-  EXPECT_EQ(a_->stats().datagrams_coalesced, 0u);
-  EXPECT_EQ(a_->stats().sendmsg_calls, 1u);
-  EXPECT_EQ(b_->stats().datagrams_received, 5u);
-  EXPECT_EQ(b_->stats().frames_received, 5u);
-}
-
 TEST_F(UdpPair, FlushBatchesMultipleDestinationsIntoOneSyscall) {
   // Frames for different (site, incarnation) keys cannot share a
   // datagram, but they do share the flush's sendmmsg.
@@ -703,34 +686,6 @@ TEST_F(UdpPair, ReceiveErrorsCountAsRecvErrorsNotSendErrors) {
   net::UdpTransportTestHook::inject_readable(*b_);
   EXPECT_EQ(b_->stats().recv_errors, 1u);
   EXPECT_EQ(b_->stats().send_errors, 0u);
-}
-
-TEST(NetConfig, ParsesCoalesceToggle) {
-  const char* base =
-      "self 0\n"
-      "peer 0 127.0.0.1:9000\n"
-      "peer 1 127.0.0.1:9001\n";
-  {
-    std::istringstream in(base);
-    NodeConfig config;
-    std::string error;
-    ASSERT_TRUE(net::parse_node_config(in, config, error)) << error;
-    EXPECT_TRUE(config.coalesce);  // default on
-  }
-  {
-    std::istringstream in(std::string(base) + "coalesce off\n");
-    NodeConfig config;
-    std::string error;
-    ASSERT_TRUE(net::parse_node_config(in, config, error)) << error;
-    EXPECT_FALSE(config.coalesce);
-  }
-  {
-    std::istringstream in(std::string(base) + "coalesce maybe\n");
-    NodeConfig config;
-    std::string error;
-    EXPECT_FALSE(net::parse_node_config(in, config, error));
-    EXPECT_FALSE(error.empty());
-  }
 }
 
 }  // namespace

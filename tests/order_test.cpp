@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <random>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "order/delivered_set.hpp"
 #include "order/layers.hpp"
 #include "order/vector_clock.hpp"
 #include "sim/world.hpp"
@@ -270,6 +275,68 @@ TEST(Layers, OverheadBytesAreTracked) {
   c.nodes[1].layer->multicast(to_bytes("x"));
   c.world.run_for(2 * kSecond);
   EXPECT_GT(c.nodes[1].layer->stats().overhead_bytes, 0u);
+}
+
+TEST(DeliveredSet, MatchesStdSetOverRandomOrdersWithDuplicatesAndGaps) {
+  // Differential check against the std::set it replaces: per origin, a
+  // mostly-ascending stream of lseqs with shuffled windows, repeats,
+  // skipped lseqs (gaps that never close), lseq 0 and the u64 maximum.
+  std::mt19937_64 rng(42);
+  const ProcessId origins[] = {{SiteId{0}, 1}, {SiteId{1}, 1}, {SiteId{1}, 2}};
+  for (int round = 0; round < 50; ++round) {
+    DeliveredSet set;
+    std::set<std::pair<ProcessId, std::uint64_t>> oracle;
+    std::vector<std::pair<ProcessId, std::uint64_t>> ops;
+    for (const ProcessId& origin : origins) {
+      for (std::uint64_t lseq = 1; lseq <= 200; ++lseq) {
+        if (rng() % 10 == 0) continue;  // a gap
+        ops.emplace_back(origin, lseq);
+        if (rng() % 5 == 0) ops.emplace_back(origin, lseq);  // duplicate
+      }
+      ops.emplace_back(origin, 0);
+      ops.emplace_back(origin, ~std::uint64_t{0});
+      ops.emplace_back(origin, ~std::uint64_t{0} - 1);
+    }
+    // Local shuffles keep the stream near FIFO, as the sequencer's is.
+    const std::size_t window = 1 + round % 16;
+    for (std::size_t i = 0; i + window <= ops.size(); i += window)
+      std::shuffle(ops.begin() + static_cast<std::ptrdiff_t>(i),
+                   ops.begin() + static_cast<std::ptrdiff_t>(i + window), rng);
+    for (const auto& [origin, lseq] : ops) {
+      const std::uint64_t probe = rng() % 210;
+      ASSERT_EQ(set.contains(origin, probe),
+                oracle.contains({origin, probe}));
+      ASSERT_EQ(set.insert(origin, lseq), oracle.insert({origin, lseq}).second);
+      ASSERT_TRUE(set.contains(origin, lseq));
+    }
+    for (const ProcessId& origin : origins)
+      for (std::uint64_t lseq = 0; lseq <= 201; ++lseq)
+        ASSERT_EQ(set.contains(origin, lseq), oracle.contains({origin, lseq}));
+    set.clear();
+    for (const auto& [origin, lseq] : oracle)
+      ASSERT_FALSE(set.contains(origin, lseq));
+  }
+}
+
+TEST(DeliveredSet, InOrderStreamKeepsNoPerMessageState) {
+  DeliveredSet set;
+  const ProcessId a{SiteId{0}, 1};
+  const ProcessId b{SiteId{1}, 1};
+  for (std::uint64_t lseq = 1; lseq <= 10'000; ++lseq) {
+    ASSERT_TRUE(set.insert(a, lseq));
+    ASSERT_TRUE(set.insert(b, lseq));
+  }
+  EXPECT_EQ(set.sparse_size(), 0u);
+  // A gap parks what lands above it until it closes.
+  EXPECT_TRUE(set.insert(a, 10'002));
+  EXPECT_TRUE(set.insert(a, 10'003));
+  EXPECT_EQ(set.sparse_size(), 2u);
+  EXPECT_FALSE(set.contains(a, 10'001));
+  EXPECT_TRUE(set.insert(a, 10'001));
+  EXPECT_EQ(set.sparse_size(), 0u);
+  EXPECT_FALSE(set.insert(a, 10'002));
+  EXPECT_TRUE(set.contains(a, 10'003));
+  EXPECT_FALSE(set.contains(a, 10'004));
 }
 
 }  // namespace

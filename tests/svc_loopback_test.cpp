@@ -28,329 +28,28 @@
 // Plain main() runner (no gtest): exit 0 on success, 1 on failure with a
 // narrated transcript on stderr. Registered RUN_SERIAL in ctest since it
 // binds fixed-for-the-run loopback ports and forks real processes.
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
 #include <signal.h>
-#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
-#include "runtime/svc.hpp"
-#include "svc/protocol.hpp"
+#include "support/loopback.hpp"
 
 namespace {
 
-using evs::Bytes;
+using namespace evs::loopback;
 using evs::runtime::SvcOp;
 using evs::runtime::SvcRequest;
 using evs::runtime::SvcResponse;
 using evs::runtime::SvcStatus;
 
 constexpr int kNodes = 3;
-
-/// Set by main() once the fleet is up: scrapes every node's /metrics into
-/// $EVS_LOOPBACK_ARTIFACTS (svc counters included) so a CI failure ships
-/// the server-side view of the run alongside the transcript.
-std::function<void()> g_on_fail;
-
-struct Child;
-/// The fleet, once spawned: die() kills it, so a failing run ends at once
-/// instead of leaving nodes that hold the runner's stderr open.
-std::vector<Child>* g_children = nullptr;
-
-void kill_children();
-
-[[noreturn]] void die(const std::string& message) {
-  std::fprintf(stderr, "FAIL: %s\n", message.c_str());
-  if (g_on_fail) g_on_fail();
-  kill_children();
-  std::exit(1);
-}
-
-std::uint16_t free_port() {
-  const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
-  if (fd < 0) die("socket() failed");
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0)
-    die("bind() failed");
-  socklen_t len = sizeof(addr);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0)
-    die("getsockname() failed");
-  const std::uint16_t port = ntohs(addr.sin_port);
-  ::close(fd);
-  return port;
-}
-
-struct Child {
-  pid_t pid = -1;
-  int out_fd = -1;
-  std::string out;
-  bool exited = false;
-  int exit_status = -1;
-};
-
-Child spawn_node(const std::string& binary, const std::string& config_path,
-                 const std::vector<std::string>& extra) {
-  int pipe_fds[2];
-  if (::pipe(pipe_fds) != 0) die("pipe() failed");
-  const pid_t pid = ::fork();
-  if (pid < 0) die("fork() failed");
-  if (pid == 0) {
-    ::dup2(pipe_fds[1], STDOUT_FILENO);
-    ::close(pipe_fds[0]);
-    ::close(pipe_fds[1]);
-    std::vector<std::string> args = {binary, "--config", config_path,
-                                     "--object", "kv"};
-    args.insert(args.end(), extra.begin(), extra.end());
-    std::vector<char*> argv;
-    for (const std::string& a : args)
-      argv.push_back(const_cast<char*>(a.c_str()));
-    argv.push_back(nullptr);
-    ::execv(argv[0], argv.data());
-    std::perror("execv");
-    _exit(127);
-  }
-  ::close(pipe_fds[1]);
-  ::fcntl(pipe_fds[0], F_SETFL, O_NONBLOCK);
-  Child child;
-  child.pid = pid;
-  child.out_fd = pipe_fds[0];
-  return child;
-}
-
-bool drain(std::vector<Child>& children, int timeout_ms) {
-  std::vector<pollfd> fds;
-  for (Child& c : children)
-    if (c.out_fd >= 0) fds.push_back({c.out_fd, POLLIN, 0});
-  if (fds.empty()) return false;
-  if (::poll(fds.data(), fds.size(), timeout_ms) <= 0) return false;
-  bool got = false;
-  for (Child& c : children) {
-    if (c.out_fd < 0) continue;
-    char buf[4096];
-    for (;;) {
-      const ssize_t n = ::read(c.out_fd, buf, sizeof(buf));
-      if (n > 0) {
-        c.out.append(buf, static_cast<std::size_t>(n));
-        got = true;
-      } else if (n == 0) {
-        ::close(c.out_fd);
-        c.out_fd = -1;
-        break;
-      } else {
-        break;  // EAGAIN
-      }
-    }
-  }
-  return got;
-}
-
-bool await(std::vector<Child>& children, int timeout_ms,
-           const std::function<bool()>& pred) {
-  for (int waited = 0; waited < timeout_ms;) {
-    if (pred()) return true;
-    drain(children, 50);
-    waited += 50;
-  }
-  return pred();
-}
-
-bool contains_after(const std::string& text, std::size_t offset,
-                    const std::string& needle) {
-  return text.find(needle, offset) != std::string::npos;
-}
-
-std::string http_get(std::uint16_t port, const std::string& path) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return {};
-  timeval tv{5, 0};
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return {};
-  }
-  const std::string request = "GET " + path + " HTTP/1.0\r\n\r\n";
-  if (::send(fd, request.data(), request.size(), 0) !=
-      static_cast<ssize_t>(request.size())) {
-    ::close(fd);
-    return {};
-  }
-  std::string response;
-  char buf[4096];
-  ssize_t n;
-  while ((n = ::read(fd, buf, sizeof(buf))) > 0)
-    response.append(buf, static_cast<std::size_t>(n));
-  ::close(fd);
-  return response;
-}
-
-/// Extracts `"key":<number>` from the JSON /metrics body; -1 if absent.
-long long json_number(const std::string& body, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t at = body.find(needle);
-  if (at == std::string::npos) return -1;
-  return std::atoll(body.c_str() + at + needle.size());
-}
-
-void reap(Child& child) {
-  int status = 0;
-  if (::waitpid(child.pid, &status, 0) == child.pid) {
-    child.exited = true;
-    child.exit_status = status;
-  }
-  while (child.out_fd >= 0) {
-    char buf[4096];
-    const ssize_t n = ::read(child.out_fd, buf, sizeof(buf));
-    if (n > 0) {
-      child.out.append(buf, static_cast<std::size_t>(n));
-    } else {
-      ::close(child.out_fd);
-      child.out_fd = -1;
-    }
-  }
-}
-
-void kill_children() {
-  if (g_children == nullptr) return;
-  for (Child& child : *g_children) {
-    if (child.pid <= 0 || child.exited) continue;
-    ::kill(child.pid, SIGKILL);  // also ends a SIGSTOPped node
-    ::waitpid(child.pid, nullptr, 0);
-    child.exited = true;
-  }
-}
-
-void dump_outputs(const std::vector<Child>& children) {
-  for (int i = 0; i < static_cast<int>(children.size()); ++i)
-    std::fprintf(stderr, "--- node%d output ---\n%s\n", i,
-                 children[i].out.c_str());
-}
-
-// ------------------------------------------------------------- client ---
-
-/// A blocking external client on one persistent TCP connection. Every
-/// receive runs under a hard deadline: a request that is not answered
-/// with a typed response in time is the exact failure mode this test
-/// exists to catch, so it dies loudly instead of waiting.
-class SvcClient {
- public:
-  explicit SvcClient(std::uint16_t port) : port_(port) {}
-  ~SvcClient() { close_fd(); }
-
-  void connect_or_die() {
-    close_fd();
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd_ < 0) die("client socket() failed");
-    const int one = 1;
-    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(port_);
-    if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0)
-      die("client connect() to svc port failed");
-    rx_.clear();
-    rx_off_ = 0;
-  }
-
-  std::uint64_t send_request(const SvcRequest& req) {
-    return send_requests({req}).front();
-  }
-
-  /// Pipelines `reqs` in one write, so the server reads them together;
-  /// returns their ids in order.
-  std::vector<std::uint64_t> send_requests(const std::vector<SvcRequest>& reqs) {
-    if (fd_ < 0) connect_or_die();
-    std::vector<std::uint64_t> ids;
-    std::string frames;
-    for (const SvcRequest& req : reqs) {
-      ids.push_back(next_id_++);
-      evs::svc::append_frame(frames, evs::svc::encode_request(ids.back(), req));
-    }
-    std::size_t sent = 0;
-    while (sent < frames.size()) {
-      const ssize_t n = ::send(fd_, frames.data() + sent, frames.size() - sent,
-                               MSG_NOSIGNAL);
-      if (n <= 0) die("client send() failed");
-      sent += static_cast<std::size_t>(n);
-    }
-    return ids;
-  }
-
-  /// Blocks until the response for `id` arrives; out-of-order responses
-  /// (pipelining) are parked and returned by their own recv calls.
-  SvcResponse recv_response(std::uint64_t id, int timeout_ms = 10000) {
-    for (int waited = 0;;) {
-      const auto parked = parked_.find(id);
-      if (parked != parked_.end()) {
-        SvcResponse resp = parked->second;
-        parked_.erase(parked);
-        return resp;
-      }
-      Bytes frame_body;
-      switch (evs::svc::next_frame(rx_, rx_off_, frame_body)) {
-        case evs::svc::FrameStatus::Frame: {
-          const auto wire = evs::svc::decode_response(frame_body);
-          parked_.emplace(wire.request_id, wire.resp);
-          continue;
-        }
-        case evs::svc::FrameStatus::Malformed:
-          die("server sent a malformed frame");
-        case evs::svc::FrameStatus::NeedMore:
-          break;
-      }
-      if (waited >= timeout_ms)
-        die("request " + std::to_string(id) +
-            " hung: no typed response within the deadline");
-      pollfd pfd{fd_, POLLIN, 0};
-      if (::poll(&pfd, 1, 200) > 0) {
-        char buf[4096];
-        const ssize_t n = ::read(fd_, buf, sizeof(buf));
-        if (n > 0)
-          rx_.append(buf, static_cast<std::size_t>(n));
-        else if (n == 0)
-          die("server closed the connection mid-request");
-      } else {
-        waited += 200;
-      }
-    }
-  }
-
-  SvcResponse call(const SvcRequest& req, int timeout_ms = 10000) {
-    return recv_response(send_request(req), timeout_ms);
-  }
-
- private:
-  void close_fd() {
-    if (fd_ >= 0) ::close(fd_);
-    fd_ = -1;
-  }
-
-  std::uint16_t port_;
-  int fd_ = -1;
-  std::string rx_;
-  std::size_t rx_off_ = 0;
-  std::uint64_t next_id_ = 1;
-  std::map<std::uint64_t, SvcResponse> parked_;
-};
 
 SvcRequest make_get(std::string key, std::uint64_t epoch) {
   SvcRequest r;
@@ -457,9 +156,10 @@ int main(int argc, char** argv) {
   // pipelines a burst through it and expects typed Unavailable answers.
   std::vector<Child> children;
   for (int i = 0; i < kNodes; ++i) {
-    std::vector<std::string> extra;
-    if (i == 2) extra = {"--svc-inflight", "4"};
-    children.push_back(spawn_node(evs_node, config_paths[i], extra));
+    std::vector<std::string> args = {evs_node, "--config", config_paths[i],
+                                     "--object", "kv"};
+    if (i == 2) args.insert(args.end(), {"--svc-inflight", "4"});
+    children.push_back(spawn_node(args));
   }
   g_children = &children;
 
