@@ -6,7 +6,6 @@
 // exchange paced multicasts. We report:
 //   - delivery latency p50 / p95 in microseconds (send timestamp rides in
 //     the payload; every member's delivery is a sample),
-//   - aggregate deliveries per second across the group,
 //   - datagrams per application multicast (the n-1 fan-out plus protocol
 //     chatter), and the encode-once sharing counters,
 //   - syscalls per multicast (sendmsg/sendmmsg + recvmsg/recvmmsg calls,
@@ -187,7 +186,6 @@ void NetUdpMulticast(benchmark::State& state) {
   constexpr int kMessages = 500;  // per run, all from one sender
 
   std::vector<std::uint64_t> all_latencies;
-  double deliveries_per_sec = 0;
   double datagrams_per_mc = 0;
   double shared_per_mc = 0;
   double copies_per_mc = 0;
@@ -238,7 +236,6 @@ void NetUdpMulticast(benchmark::State& state) {
       frames_before += node->udp_stats().frames_sent;
     }
 
-    const std::uint64_t t0 = global_us();
     nodes[0]->send_async(kMessages, /*per_tick=*/5);
     const std::uint64_t want = static_cast<std::uint64_t>(kMessages) * n;
     if (!await(
@@ -252,7 +249,6 @@ void NetUdpMulticast(benchmark::State& state) {
       for (auto& node : nodes) node->stop();
       return;
     }
-    const std::uint64_t t1 = global_us();
 
     for (auto& node : nodes) node->stop();
 
@@ -270,8 +266,6 @@ void NetUdpMulticast(benchmark::State& state) {
       all_latencies.insert(all_latencies.end(), node->latencies().begin(),
                            node->latencies().end());
     }
-    deliveries_per_sec +=
-        static_cast<double>(delivered) * 1e6 / static_cast<double>(t1 - t0);
     const std::uint64_t datagram_delta = datagrams - datagrams_before;
     datagrams_per_mc += static_cast<double>(datagram_delta) / kMessages;
     shared_per_mc += static_cast<double>(shared) / kMessages;
@@ -291,7 +285,6 @@ void NetUdpMulticast(benchmark::State& state) {
 
   state.counters["lat_p50_us"] = percentile(all_latencies, 50);
   state.counters["lat_p95_us"] = percentile(all_latencies, 95);
-  state.counters["deliveries_per_sec"] = deliveries_per_sec / runs;
   state.counters["datagrams_per_mc"] = datagrams_per_mc / runs;
   state.counters["payloads_shared_per_mc"] = shared_per_mc / runs;
   state.counters["payload_copies_per_mc"] = copies_per_mc / runs;

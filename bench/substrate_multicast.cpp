@@ -1,46 +1,69 @@
-// SUBSTRATE — view-synchronous multicast cost under the three ordering
-// layers (Section 2 notes view synchrony imposes no order; the layers are
-// what applications add on top, and what EVS's total order costs).
+// SUBSTRATE — view-synchronous multicast cost under the two orders the
+// stack ships (Section 2 notes view synchrony imposes no order within a
+// view; EVS adds a total one, and this prices it).
+//
+//   FifoOrder  — vsync::Endpoint::multicast: per-sender FIFO, the raw
+//                view-synchronous channel;
+//   TotalOrder — core::EvsEndpoint::app_multicast: a member forwards, the
+//                view primary stamps, everyone delivers the sequencer's
+//                single FIFO stream (Section 6.1's P6.1/P6.2 mechanism).
 //
 // A stable group of n members exchanges a fixed number of multicasts; we
 // report, per configuration:
-//   - simulated mean delivery latency (multicast -> delivered at all),
+//   - simulated time per multicast (sim_ms_per_mc): the send window, one
+//     multicast every 2 ms, plus a drain polled in 10 ms steps — it reads
+//     the pacing, not a delivery latency,
 //   - physical messages the network carried per application multicast,
-//   - ordering-metadata overhead bytes per multicast,
+//   - bytes on the wire per multicast,
 //   - frame encodes per multicast (encode-once fan-out: ~1, not n-1),
 //   - payload buffers shared vs copied on the wire path.
-// Expected shape: FIFO ~ cheapest (n-1 messages, no metadata); causal adds
-// a vector-clock per message (O(n) bytes); total doubles the message count
-// (forward + sequencer stamp) and centralises load at the sequencer.
-// wire_bytes_per_mc must match the pre-optimization baseline exactly:
-// sharing one encoded buffer across recipients must not change what the
-// wire carries.
+// Expected shape: total adds ~(n-1)^2/n messages per multicast (a
+// non-primary's multicast travels twice: forward, then stamp) and
+// centralises load at the sequencer.
+// Every counter but the timings is deterministic: CI compares them with
+// the committed BENCH_substrate_multicast.json (bench/compare_counters.py).
 #include <benchmark/benchmark.h>
 
 #include <string>
 
+#include "evs/endpoint.hpp"
 #include "obs/dump.hpp"
-#include "order/layers.hpp"
 #include "sim/world.hpp"
 
 namespace evs::bench {
 namespace {
 
-class CountingDelegate : public order::OrderDelegate {
- public:
+// Raw view-synchronous multicast: per-sender FIFO.
+struct Fifo : vsync::Delegate {
+  using Endpoint = vsync::Endpoint;
+  void attach(Endpoint& ep) { ep.set_delegate(this); }
+  static void send(Endpoint& ep, Bytes payload) {
+    ep.multicast(std::move(payload));
+  }
   void on_view(const gms::View&, const vsync::InstallInfo&) override {}
   void on_deliver(ProcessId, const Bytes&) override { ++delivered; }
   std::uint64_t delivered = 0;
 };
 
-template <typename Layer>
+// EVS application multicast: sequencer total order.
+struct Total : core::EvsDelegate {
+  using Endpoint = core::EvsEndpoint;
+  void attach(Endpoint& ep) { ep.set_evs_delegate(this); }
+  static void send(Endpoint& ep, Bytes payload) {
+    ep.app_multicast(std::move(payload));
+  }
+  void on_eview(const core::EView&) override {}
+  void on_app_deliver(ProcessId, const Bytes&) override { ++delivered; }
+  std::uint64_t delivered = 0;
+};
+
+template <typename Order>
 void MulticastBench(benchmark::State& state, const char* tag) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   constexpr int kMessages = 200;
 
   double latency_ms = 0;
   double net_msgs_per_mc = 0;
-  double overhead_per_mc = 0;
   double wire_bytes_per_mc = 0;
   double frames_per_mc = 0;
   double copies_per_mc = 0;
@@ -53,13 +76,12 @@ void MulticastBench(benchmark::State& state, const char* tag) {
     vsync::EndpointConfig cfg;
     cfg.universe = sites;
 
-    std::vector<vsync::Endpoint*> eps;
-    std::vector<std::unique_ptr<CountingDelegate>> delegates;
-    std::vector<std::unique_ptr<Layer>> layers;
+    std::vector<typename Order::Endpoint*> eps;
+    std::vector<std::unique_ptr<Order>> delegates;
     for (const SiteId site : sites) {
-      eps.push_back(&world.spawn<vsync::Endpoint>(site, cfg));
-      delegates.push_back(std::make_unique<CountingDelegate>());
-      layers.push_back(std::make_unique<Layer>(*eps.back(), *delegates.back()));
+      eps.push_back(&world.spawn<typename Order::Endpoint>(site, cfg));
+      delegates.push_back(std::make_unique<Order>());
+      delegates.back()->attach(*eps.back());
     }
     // Group formation.
     for (int i = 0; i < 3000; ++i) {
@@ -75,8 +97,8 @@ void MulticastBench(benchmark::State& state, const char* tag) {
     for (auto* ep : eps) frames_before += ep->stats().frames_encoded;
     const SimTime t0 = world.scheduler().now();
     for (int m = 0; m < kMessages; ++m) {
-      layers[static_cast<std::size_t>(m) % n]->multicast(
-          to_bytes("payload-" + std::to_string(m)));
+      Order::send(*eps[static_cast<std::size_t>(m) % n],
+                  to_bytes("payload-" + std::to_string(m)));
       world.run_for(2 * kMillisecond);
     }
     // Drain.
@@ -105,10 +127,6 @@ void MulticastBench(benchmark::State& state, const char* tag) {
     std::uint64_t frames = 0;
     for (auto* ep : eps) frames += ep->stats().frames_encoded;
     frames_per_mc += static_cast<double>(frames - frames_before) / kMessages;
-    double overhead = 0;
-    for (auto& layer : layers)
-      overhead += static_cast<double>(layer->stats().overhead_bytes);
-    overhead_per_mc += overhead / kMessages;
     ++runs;
 
     if (!obs::trace_out_dir().empty()) {
@@ -116,11 +134,8 @@ void MulticastBench(benchmark::State& state, const char* tag) {
       // automatically by the World when EVS_TRACE_OUT is set; it never
       // perturbs the wire path, so the counters above are unaffected).
       world.network().export_metrics(world.metrics());
-      for (std::size_t i = 0; i < eps.size(); ++i) {
+      for (std::size_t i = 0; i < eps.size(); ++i)
         eps[i]->export_metrics(world.metrics(), "p" + std::to_string(i));
-        order::export_metrics(layers[i]->stats(), world.metrics(),
-                              "p" + std::to_string(i) + ".order");
-      }
       world.dump_trace(std::string("substrate_") + tag + "_n" +
                        std::to_string(n));
     }
@@ -128,26 +143,18 @@ void MulticastBench(benchmark::State& state, const char* tag) {
 
   state.counters["sim_ms_per_mc"] = latency_ms / runs;
   state.counters["net_msgs_per_mc"] = net_msgs_per_mc / runs;
-  state.counters["overhead_bytes_per_mc"] = overhead_per_mc / runs;
   state.counters["wire_bytes_per_mc"] = wire_bytes_per_mc / runs;
   state.counters["frames_encoded_per_mc"] = frames_per_mc / runs;
   state.counters["payload_copies_per_mc"] = copies_per_mc / runs;
   state.counters["payloads_shared_per_mc"] = shared_per_mc / runs;
 }
 
-void FifoOrder(benchmark::State& state) {
-  MulticastBench<order::FifoLayer>(state, "fifo");
-}
-void CausalOrder(benchmark::State& state) {
-  MulticastBench<order::CausalLayer>(state, "causal");
-}
+void FifoOrder(benchmark::State& state) { MulticastBench<Fifo>(state, "fifo"); }
 void TotalOrder(benchmark::State& state) {
-  MulticastBench<order::TotalLayer>(state, "total");
+  MulticastBench<Total>(state, "total");
 }
 
 BENCHMARK(FifoOrder)->Arg(8)->Arg(16)->Arg(32)
-    ->Unit(benchmark::kMillisecond)->Iterations(2);
-BENCHMARK(CausalOrder)->Arg(8)->Arg(16)->Arg(32)
     ->Unit(benchmark::kMillisecond)->Iterations(2);
 BENCHMARK(TotalOrder)->Arg(8)->Arg(16)->Arg(32)
     ->Unit(benchmark::kMillisecond)->Iterations(2);

@@ -58,28 +58,15 @@ void EvsEndpoint::send_app(Bytes payload) {
 
 void EvsEndpoint::request_sv_set_merge(std::vector<SvSetId> svsets) {
   ++evs_stats_.merges_requested;
-  MergeRequest request{EvOp::Kind::SvSetMerge, std::move(svsets), {}};
-  if (blocked()) {
-    merge_queue_.push_back(std::move(request));
-    return;
-  }
-  if (is_sequencer()) {
-    sequence_merge(request);
-    return;
-  }
-  Encoder enc;
-  enc.put_u8(static_cast<std::uint8_t>(Tag::MergeReq));
-  enc.put_u8(static_cast<std::uint8_t>(request.kind));
-  enc.put_vector(request.svsets,
-                 [](Encoder& e, SvSetId s) { e.put_svset_id(s); });
-  enc.put_vector(request.subviews,
-                 [](Encoder& e, SubviewId s) { e.put_subview_id(s); });
-  multicast(std::move(enc).take());
+  submit_merge({EvOp::Kind::SvSetMerge, std::move(svsets), {}});
 }
 
 void EvsEndpoint::request_subview_merge(std::vector<SubviewId> subviews) {
   ++evs_stats_.merges_requested;
-  MergeRequest request{EvOp::Kind::SubviewMerge, {}, std::move(subviews)};
+  submit_merge({EvOp::Kind::SubviewMerge, {}, std::move(subviews)});
+}
+
+void EvsEndpoint::submit_merge(MergeRequest request) {
   if (blocked()) {
     merge_queue_.push_back(std::move(request));
     return;
@@ -348,15 +335,9 @@ void EvsEndpoint::on_view(const gms::View& view, const vsync::InstallInfo& info)
     send_app(std::move(payload));
   }
   while (!merge_queue_.empty() && !blocked()) {
-    const MergeRequest request = std::move(merge_queue_.front());
+    MergeRequest request = std::move(merge_queue_.front());
     merge_queue_.pop_front();
-    if (request.kind == EvOp::Kind::SvSetMerge) {
-      --evs_stats_.merges_requested;  // re-request counts once
-      request_sv_set_merge(request.svsets);
-    } else {
-      --evs_stats_.merges_requested;
-      request_subview_merge(request.subviews);
-    }
+    submit_merge(std::move(request));
   }
 }
 

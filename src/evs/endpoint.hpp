@@ -9,10 +9,11 @@
 //     FIFO from a single source totally orders them within the view.
 //
 //   Causal Order / consistent cuts (P6.2): *application* multicasts are
-//     also routed through the sequencer (forward + stamp, exactly like
-//     order::TotalLayer), so the interleaving of app messages and e-view
-//     changes is the sequencer's single FIFO stream — identical at every
-//     member, hence every e-view change falls on a consistent cut.
+//     also routed through the sequencer (a member forwards, the primary
+//     stamps), so the interleaving of app messages and e-view changes is
+//     the sequencer's single FIFO stream — identical at every member,
+//     hence every e-view change falls on a consistent cut. This is the
+//     stack's only total-order implementation.
 //
 //   Structure (P6.3): each member's flush context carries its frozen
 //     structure + applied e-view count; at install every member runs the
@@ -31,8 +32,8 @@
 #include <map>
 #include <vector>
 
+#include "evs/delivered_set.hpp"
 #include "evs/structure.hpp"
-#include "order/delivered_set.hpp"
 #include "vsync/endpoint.hpp"
 
 namespace evs::core {
@@ -135,6 +136,8 @@ class EvsEndpoint : public vsync::Endpoint, private vsync::Delegate {
   void handle_stamped(Decoder& dec);
   void handle_ev_change(Decoder& dec);
   void handle_merge_req(Decoder& dec);
+  /// Queues (frozen), sequences (primary) or forwards (member) a merge.
+  void submit_merge(MergeRequest request);
   void sequence_merge(const MergeRequest& request);
   void deliver_app(ProcessId origin, const Bytes& payload);
   void emit_eview();
@@ -143,11 +146,12 @@ class EvsEndpoint : public vsync::Endpoint, private vsync::Delegate {
   EView eview_;
   std::uint64_t mint_counter_ = 0;  // persistent across views
 
-  // Per-view total-order state (mirrors order::TotalLayer).
-  using MsgKey = std::pair<ProcessId, std::uint64_t>;
+  // Per-view total-order state: own forward counter, forwards not yet
+  // stamped (drained at the next view change), stamps delivered.
+  using MsgKey = std::pair<ProcessId, std::uint64_t>;  // (origin, lseq)
   std::uint64_t lseq_ = 0;
   std::map<MsgKey, Bytes> unordered_;
-  order::DeliveredSet delivered_;
+  DeliveredSet delivered_;
 
   // Work queued while the endpoint is frozen for a view change.
   std::deque<Bytes> app_queue_;

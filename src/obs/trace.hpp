@@ -44,7 +44,7 @@ enum class EventKind : std::uint8_t {
   EviewChange,            // e-view structure state (value/aux = sv/svset counts)
   SvSetMerge,             // sequencer accepted an SV-SetMerge (value = inputs)
   SubviewMerge,           // sequencer accepted a SubviewMerge (value = inputs)
-  OrderDrain,             // ordering layer force-drained held messages
+  OrderDrain,             // EVS delivered unstamped app msgs at a view change
   ModeTransition,         // Figure-1 edge (seq = Transition, value/aux = to/from)
   ReconcilePhase,         // settle lifecycle (seq = ReconcilePhase value)
   StateTransferChunk,     // split-transfer chunk received (seq = index)

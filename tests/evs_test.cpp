@@ -1,16 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <random>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "evs/delivered_set.hpp"
 #include "sim/fault.hpp"
 #include "support/evs_cluster.hpp"
 
 namespace evs::test {
 namespace {
 
+using core::DeliveredSet;
 using core::EView;
 using core::EViewStructure;
 
@@ -290,6 +295,62 @@ TEST(Evs, AppTrafficSurvivesViewChange) {
   }
 }
 
+TEST(Evs, SequencerCrashDrainsForwardedAppMessages) {
+  EvsCluster c({.sites = 3, .seed = 6});
+  ASSERT_TRUE(c.await_stable_view(c.all_indices()));
+  ASSERT_EQ(c.ep(0).view().primary(), c.ep(0).id());
+  // A non-sequencer's forwards are in flight when the sequencer dies, so
+  // none is ever stamped: the view change must drain them, in the same
+  // (origin, lseq) order at both survivors.
+  for (int r = 0; r < 10; ++r) c.rec(1).multicast("s" + std::to_string(r));
+  c.world().crash_site(c.site(0));
+  ASSERT_TRUE(c.await_stable_view({1, 2}));
+  c.world().run_for(5 * kSecond);
+  std::vector<std::string> a;
+  std::vector<std::string> b;
+  for (const auto& d : c.rec(1).deliveries()) a.push_back(d.payload);
+  for (const auto& d : c.rec(2).deliveries()) b.push_back(d.payload);
+  EXPECT_EQ(a.size(), 10u);
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(c.ep(1).evs_stats().drained_at_view, 10u);
+  EXPECT_EQ(c.ep(2).evs_stats().drained_at_view, 10u);
+}
+
+TEST(Evs, AppReplyNeverOvertakesItsCause) {
+  // Node 1 answers each of node 0's pings the moment it delivers it; under
+  // heavy jitter no member may deliver a pong before its ping.
+  sim::NetworkConfig net;
+  net.mean_jitter_us = 20'000.0;
+  EvsCluster c({.sites = 4, .seed = 4, .net = net});
+  ASSERT_TRUE(c.await_stable_view(c.all_indices()));
+  const auto delivered_at = [&](std::size_t i, const std::string& payload) {
+    const auto ds = c.rec(i).deliveries();
+    for (std::size_t k = 0; k < ds.size(); ++k)
+      if (ds[k].payload == payload) return static_cast<int>(k);
+    return -1;
+  };
+  for (int r = 0; r < 10; ++r) {
+    const std::string ping = "ping-" + std::to_string(r);
+    const std::string pong = "pong-" + std::to_string(r);
+    c.rec(0).multicast(ping);
+    bool replied = false;
+    ASSERT_TRUE(c.await(
+        [&]() {
+          if (!replied && delivered_at(1, ping) >= 0) {
+            c.rec(1).multicast(pong);
+            replied = true;
+          }
+          for (std::size_t i = 0; i < 4; ++i)
+            if (delivered_at(i, pong) < 0) return false;
+          return true;
+        },
+        10 * kSecond, 1 * kMillisecond));
+    for (std::size_t i = 0; i < 4; ++i)
+      EXPECT_LT(delivered_at(i, ping), delivered_at(i, pong))
+          << "member " << i << " round " << r;
+  }
+}
+
 TEST(Evs, MergeRequestedDuringViewChangeIsReissued) {
   EvsCluster c({.sites = 3, .seed = 31});
   ASSERT_TRUE(c.await_stable_view(c.all_indices()));
@@ -382,6 +443,68 @@ TEST_P(EvsRandomFaults, StructuresStayValidAndConsistent) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EvsRandomFaults,
                          ::testing::Range<std::uint64_t>(1, 11));
+
+TEST(DeliveredSet, MatchesStdSetOverRandomOrdersWithDuplicatesAndGaps) {
+  // Differential check against the std::set it replaces: per origin, a
+  // mostly-ascending stream of lseqs with shuffled windows, repeats,
+  // skipped lseqs (gaps that never close), lseq 0 and the u64 maximum.
+  std::mt19937_64 rng(42);
+  const ProcessId origins[] = {{SiteId{0}, 1}, {SiteId{1}, 1}, {SiteId{1}, 2}};
+  for (int round = 0; round < 50; ++round) {
+    DeliveredSet set;
+    std::set<std::pair<ProcessId, std::uint64_t>> oracle;
+    std::vector<std::pair<ProcessId, std::uint64_t>> ops;
+    for (const ProcessId& origin : origins) {
+      for (std::uint64_t lseq = 1; lseq <= 200; ++lseq) {
+        if (rng() % 10 == 0) continue;  // a gap
+        ops.emplace_back(origin, lseq);
+        if (rng() % 5 == 0) ops.emplace_back(origin, lseq);  // duplicate
+      }
+      ops.emplace_back(origin, 0);
+      ops.emplace_back(origin, ~std::uint64_t{0});
+      ops.emplace_back(origin, ~std::uint64_t{0} - 1);
+    }
+    // Local shuffles keep the stream near FIFO, as the sequencer's is.
+    const std::size_t window = 1 + round % 16;
+    for (std::size_t i = 0; i + window <= ops.size(); i += window)
+      std::shuffle(ops.begin() + static_cast<std::ptrdiff_t>(i),
+                   ops.begin() + static_cast<std::ptrdiff_t>(i + window), rng);
+    for (const auto& [origin, lseq] : ops) {
+      const std::uint64_t probe = rng() % 210;
+      ASSERT_EQ(set.contains(origin, probe),
+                oracle.contains({origin, probe}));
+      ASSERT_EQ(set.insert(origin, lseq), oracle.insert({origin, lseq}).second);
+      ASSERT_TRUE(set.contains(origin, lseq));
+    }
+    for (const ProcessId& origin : origins)
+      for (std::uint64_t lseq = 0; lseq <= 201; ++lseq)
+        ASSERT_EQ(set.contains(origin, lseq), oracle.contains({origin, lseq}));
+    set.clear();
+    for (const auto& [origin, lseq] : oracle)
+      ASSERT_FALSE(set.contains(origin, lseq));
+  }
+}
+
+TEST(DeliveredSet, InOrderStreamKeepsNoPerMessageState) {
+  DeliveredSet set;
+  const ProcessId a{SiteId{0}, 1};
+  const ProcessId b{SiteId{1}, 1};
+  for (std::uint64_t lseq = 1; lseq <= 10'000; ++lseq) {
+    ASSERT_TRUE(set.insert(a, lseq));
+    ASSERT_TRUE(set.insert(b, lseq));
+  }
+  EXPECT_EQ(set.sparse_size(), 0u);
+  // A gap parks what lands above it until it closes.
+  EXPECT_TRUE(set.insert(a, 10'002));
+  EXPECT_TRUE(set.insert(a, 10'003));
+  EXPECT_EQ(set.sparse_size(), 2u);
+  EXPECT_FALSE(set.contains(a, 10'001));
+  EXPECT_TRUE(set.insert(a, 10'001));
+  EXPECT_EQ(set.sparse_size(), 0u);
+  EXPECT_FALSE(set.insert(a, 10'002));
+  EXPECT_TRUE(set.contains(a, 10'003));
+  EXPECT_FALSE(set.contains(a, 10'004));
+}
 
 }  // namespace
 }  // namespace evs::test

@@ -17,7 +17,9 @@
 #include <algorithm>
 #include <map>
 #include <optional>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "net/event_loop.hpp"
@@ -29,6 +31,7 @@
 #include "support/object_cluster.hpp"
 #include "svc/protocol.hpp"
 #include "svc/server.hpp"
+#include "svc_client.hpp"
 
 namespace evs::test {
 namespace {
@@ -699,6 +702,108 @@ TEST(SvcServer, ReplyBacklogStaysBoundedForASteadySlowReader) {
   EXPECT_LE(registry.gauge("svc.out_buffered_bytes").value(),
             static_cast<double>(config.max_out_bytes + frame));
   ::close(fd);
+}
+
+// ------------------------------------------------------------ SvcClient ---
+
+// Runs `loop` on its own thread for the blocking SDK; joins on scope exit,
+// so handler-side state may be read once it is gone. Servers must be
+// built before it starts and outlive it.
+class LoopThread {
+ public:
+  explicit LoopThread(net::EventLoop& loop)
+      : loop_(loop), thread_([&loop] { loop.run(); }) {}
+  ~LoopThread() {
+    loop_.request_stop();
+    thread_.join();
+  }
+
+ private:
+  net::EventLoop& loop_;
+  std::thread thread_;
+};
+
+TEST(SvcClient, RefencesOnInvalidEpochAndWaitsOutUnavailable) {
+  constexpr std::uint64_t kEpoch = 7;
+  net::EventLoop loop;
+  svc::SvcServer server(loop, kLoopbackIp, 0);
+  std::vector<SvcRequest> seen;  // loop thread only, until the join
+  server.set_handler([&](SvcRequest req, SvcRespondFn respond) {
+    seen.push_back(req);
+    switch (seen.size()) {
+      case 1:
+        respond(SvcResponse::invalid_epoch(kEpoch));
+        break;
+      case 3:
+        respond(SvcResponse::unavailable(/*retry_after_ms=*/5));
+        break;
+      default:
+        respond(SvcResponse::ok(req.view_epoch, req.key));
+    }
+  });
+  {
+    LoopThread thread(loop);
+    tools::SvcClient client(tools::SvcAddr{"127.0.0.1", server.bound_port()});
+    const SvcResponse put = client.call(make_request(SvcOp::Put, 0, "a", "1"));
+    EXPECT_EQ(put.status, SvcStatus::Ok);
+    EXPECT_EQ(client.fenced_epoch(), kEpoch);
+    const SvcResponse get = client.call(make_request(SvcOp::Get, 0, "b"));
+    EXPECT_EQ(get.status, SvcStatus::Ok);
+    EXPECT_EQ(get.value, "b");
+  }
+  ASSERT_EQ(seen.size(), 4u);
+  EXPECT_EQ(seen[0].view_epoch, 0u);
+  EXPECT_EQ(seen[1].view_epoch, kEpoch);  // the retry carries the new fence
+  EXPECT_EQ(seen[2].view_epoch, kEpoch);
+  EXPECT_EQ(seen[3].key, "b");  // retried after the backoff
+  EXPECT_EQ(server.stats().connections_accepted, 1u);
+}
+
+TEST(SvcClient, ReturnsNotLeaderAtOnce) {
+  net::EventLoop loop;
+  svc::SvcServer server(loop, kLoopbackIp, 0);
+  int requests = 0;
+  server.set_handler([&](SvcRequest, SvcRespondFn respond) {
+    ++requests;
+    respond(SvcResponse::not_leader(2, 0));
+  });
+  {
+    LoopThread thread(loop);
+    tools::SvcClient client(tools::SvcAddr{"127.0.0.1", server.bound_port()});
+    const SvcResponse resp = client.call(make_request(SvcOp::Put, 0, "a", "1"));
+    EXPECT_EQ(resp.status, SvcStatus::NotLeader);
+    EXPECT_EQ(resp.coordinator_site, 2u);
+  }
+  EXPECT_EQ(requests, 1);
+}
+
+TEST(SvcClient, ReconnectsAConnectionClosedMidCall) {
+  // The first server takes the request and, instead of answering, is torn
+  // down (closing the client's connection) and replaced by a second one
+  // on the same port, which answers.
+  net::EventLoop loop;
+  auto server = std::make_unique<svc::SvcServer>(loop, kLoopbackIp, 0);
+  const std::uint16_t port = server->bound_port();
+  int answered_by_second = 0;
+  server->set_handler([&](SvcRequest, SvcRespondFn) {
+    loop.post([&] {
+      server.reset();
+      server = std::make_unique<svc::SvcServer>(loop, kLoopbackIp, port);
+      server->set_handler([&](SvcRequest req, SvcRespondFn respond) {
+        ++answered_by_second;
+        respond(SvcResponse::ok(req.view_epoch, "second"));
+      });
+    });
+  });
+  {
+    LoopThread thread(loop);
+    tools::SvcClient client(tools::SvcAddr{"127.0.0.1", port});
+    const SvcResponse resp = client.call(make_request(SvcOp::Get, 0, "k"));
+    EXPECT_EQ(resp.status, SvcStatus::Ok);
+    EXPECT_EQ(resp.value, "second");
+  }
+  EXPECT_EQ(answered_by_second, 1);
+  EXPECT_EQ(server->stats().connections_accepted, 1u);
 }
 
 // ----------------------------------------------- group objects + fencing ---

@@ -23,6 +23,16 @@ using runtime::SvcStatus;
 
 namespace {
 
+constexpr std::size_t kMaxAttempts = 32;
+/// First reconnect/retry backoff; doubles per consecutive failure up to
+/// kMaxBackoffMs. A server's retry_after_ms hint replaces the base (still
+/// jittered).
+constexpr std::uint64_t kBaseBackoffMs = 10;
+constexpr std::uint64_t kMaxBackoffMs = 640;
+constexpr std::uint64_t kCallTimeoutMs = 15'000;
+/// Per-socket-operation timeout (connect / send / recv).
+constexpr std::uint64_t kIoTimeoutMs = 2'000;
+
 std::uint64_t now_ms() {
   timespec ts{};
   ::clock_gettime(CLOCK_MONOTONIC, &ts);
@@ -39,10 +49,8 @@ bool wait_fd(int fd, short events, std::uint64_t timeout_ms) {
 
 }  // namespace
 
-SvcClient::SvcClient(SvcAddr initial, SvcClientConfig config)
-    : addr_(std::move(initial)), config_(std::move(config)) {
-  rng_ = config_.seed != 0 ? config_.seed : (now_ms() * 2654435761ULL) | 1;
-}
+SvcClient::SvcClient(SvcAddr addr)
+    : addr_(std::move(addr)), rng_((now_ms() * 2654435761ULL) | 1) {}
 
 SvcClient::~SvcClient() { disconnect(); }
 
@@ -64,7 +72,6 @@ void SvcClient::disconnect() {
 
 bool SvcClient::ensure_connected() {
   if (fd_ >= 0) return true;
-  ++stats_.reconnects;
   fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd_ < 0) return false;
   int one = 1;
@@ -83,7 +90,7 @@ bool SvcClient::ensure_connected() {
     return false;
   }
   if (rc < 0) {
-    if (!wait_fd(fd_, POLLOUT, config_.io_timeout_ms)) {
+    if (!wait_fd(fd_, POLLOUT, kIoTimeoutMs)) {
       disconnect();
       return false;
     }
@@ -111,7 +118,7 @@ std::optional<SvcResponse> SvcClient::exchange(const SvcRequest& req) {
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      if (wait_fd(fd_, POLLOUT, config_.io_timeout_ms)) continue;
+      if (wait_fd(fd_, POLLOUT, kIoTimeoutMs)) continue;
     }
     return std::nullopt;
   }
@@ -133,7 +140,7 @@ std::optional<SvcResponse> SvcClient::exchange(const SvcRequest& req) {
         return std::nullopt;
       }
     }
-    if (!wait_fd(fd_, POLLIN, config_.io_timeout_ms)) return std::nullopt;
+    if (!wait_fd(fd_, POLLIN, kIoTimeoutMs)) return std::nullopt;
     const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
     if (n <= 0) return std::nullopt;
     in.append(buf, static_cast<std::size_t>(n));
@@ -141,15 +148,13 @@ std::optional<SvcResponse> SvcClient::exchange(const SvcRequest& req) {
 }
 
 void SvcClient::sleep_backoff(std::uint64_t hint_ms, std::uint32_t streak) {
-  ++stats_.backoffs;
   std::uint64_t base = hint_ms;
   if (base == 0) {
-    base = config_.base_backoff_ms;
-    for (std::uint32_t i = 0; i < streak && base < config_.max_backoff_ms;
-         ++i)
+    base = kBaseBackoffMs;
+    for (std::uint32_t i = 0; i < streak && base < kMaxBackoffMs; ++i)
       base *= 2;
   }
-  base = std::min(base, config_.max_backoff_ms);
+  base = std::min(base, kMaxBackoffMs);
   // Full jitter: sleep U(1, base) — decorrelates retrying clients while
   // keeping the server's retry_after_ms hint an upper bound.
   const std::uint64_t sleep_ms = 1 + next_jitter(base);
@@ -158,50 +163,18 @@ void SvcClient::sleep_backoff(std::uint64_t hint_ms, std::uint32_t streak) {
   ::nanosleep(&ts, nullptr);
 }
 
-std::uint64_t SvcClient::next_trace_id() {
-  rng_ ^= rng_ >> 12;
-  rng_ ^= rng_ << 25;
-  rng_ ^= rng_ >> 27;
-  const std::uint64_t id = rng_ * 2685821657736338717ULL;
-  return id != 0 ? id : 1;  // 0 means "unsampled" on the wire
-}
-
 SvcResponse SvcClient::call(SvcRequest req, bool fence) {
-  ++stats_.calls;
-  if (config_.sample) {
-    if (req.trace_id == 0) req.trace_id = next_trace_id();
-    req.sampled = true;
-    last_trace_id_ = req.trace_id;
-  } else if (req.trace_id != 0 && req.sampled) {
-    last_trace_id_ = req.trace_id;  // caller-managed sampling
-  }
-  const std::uint64_t deadline =
-      config_.call_timeout_ms > 0 ? now_ms() + config_.call_timeout_ms : 0;
+  const std::uint64_t deadline = now_ms() + kCallTimeoutMs;
   std::uint32_t fail_streak = 0;
-  SvcResponse last = SvcResponse::unavailable(config_.base_backoff_ms);
-  for (std::size_t attempt = 0; attempt < config_.max_attempts; ++attempt) {
-    if (deadline != 0 && now_ms() >= deadline) break;
-    ++stats_.attempts;
+  SvcResponse last = SvcResponse::unavailable(kBaseBackoffMs);
+  for (std::size_t attempt = 0; attempt < kMaxAttempts && now_ms() < deadline;
+       ++attempt) {
     req.view_epoch = fence ? epoch_ : 0;
-    if (!ensure_connected()) {
-      ++stats_.io_errors;
-      ++fail_streak;
-      // A dead initial target: rotate through the site book so one down
-      // node doesn't strand the client.
-      if (!config_.sites.empty()) {
-        auto it = config_.sites.begin();
-        std::advance(it, rr_++ % config_.sites.size());
-        addr_ = it->second;
-      }
-      sleep_backoff(0, fail_streak);
-      continue;
-    }
-    const std::optional<SvcResponse> resp = exchange(req);
+    std::optional<SvcResponse> resp;
+    if (ensure_connected()) resp = exchange(req);
     if (!resp) {
-      ++stats_.io_errors;
-      ++fail_streak;
       disconnect();
-      sleep_backoff(0, fail_streak);
+      sleep_backoff(0, ++fail_streak);
       continue;
     }
     last = *resp;
@@ -210,42 +183,22 @@ SvcResponse SvcClient::call(SvcRequest req, bool fence) {
         if (fence) epoch_ = resp->view_epoch;
         return last;
       case SvcStatus::Unsupported:
-        return last;  // retrying cannot help
+      case SvcStatus::NotLeader:
+        return last;  // retrying here cannot help
       case SvcStatus::InvalidEpoch:
-        // Re-fence and go again immediately: the server told us the
-        // epoch it will accept. (A sealed log shard repeats this answer
-        // until a view change; the attempt budget bounds that loop.)
-        ++stats_.refences;
+        // Re-fence and go again: the server told us the epoch it will
+        // accept. (A sealed log shard repeats this answer until a view
+        // change; the attempt budget bounds that loop.)
         epoch_ = resp->view_epoch;
         fail_streak = 0;
-        sleep_backoff(config_.base_backoff_ms, 0);
+        sleep_backoff(kBaseBackoffMs, 0);
         continue;
-      case SvcStatus::NotLeader: {
-        ++stats_.redirects;
-        fail_streak = 0;
-        const auto it = config_.sites.find(resp->coordinator_site);
-        if (it != config_.sites.end()) {
-          if (it->second.host != addr_.host ||
-              it->second.port != addr_.port) {
-            addr_ = it->second;
-            disconnect();
-          }
-        } else if (!config_.sites.empty()) {
-          auto any = config_.sites.begin();
-          std::advance(any, rr_++ % config_.sites.size());
-          addr_ = any->second;
-          disconnect();
-        }
-        continue;
-      }
       case SvcStatus::Unavailable:
       case SvcStatus::Conflict:
-        ++fail_streak;
-        sleep_backoff(resp->retry_after_ms, fail_streak);
+        sleep_backoff(resp->retry_after_ms, ++fail_streak);
         continue;
     }
   }
-  ++stats_.exhausted;
   return last;
 }
 

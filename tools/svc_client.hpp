@@ -11,8 +11,8 @@
 //   * Unavailable / Conflict -> honour retry_after_ms (plus full jitter,
 //                               so a thousand shed clients don't return
 //                               in one thundering herd), then retry.
-//   * NotLeader{site}        -> reconnect to that site's svc address
-//                               (from the site book) and retry there.
+//   * NotLeader{site}        -> returned at once: the client talks to one
+//                               node, and asking it again cannot help.
 //   * connection failure     -> reconnect with jittered exponential
 //                               backoff and retry. NOTE: a write whose
 //                               connection died mid-call may or may not
@@ -20,16 +20,14 @@
 //                               at-least-once semantics, same as every
 //                               reconnecting client of an ordered log.
 //
-// call() blocks until it has a definitive answer (Ok / Unsupported), the
-// attempt budget runs out (the last non-definitive answer is returned),
-// or the deadline passes (synthetic Unavailable). One request at a time —
-// benches that want pipelining keep their own open-loop engines; this SDK
-// is for correctness-first callers (log bench verification, tests,
-// control tools).
+// call() blocks until it has a definitive answer (Ok / Unsupported /
+// NotLeader), 32 attempts have been made (the last non-definitive answer
+// is returned), or 15 s have passed (synthetic Unavailable). One request
+// at a time — load generators keep their own open-loop engines; this SDK
+// is for correctness-first callers (loadgen's log verify pass, tests).
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 
@@ -42,47 +40,10 @@ struct SvcAddr {
   std::uint16_t port = 0;
 };
 
-struct SvcClientConfig {
-  /// site -> svc address, for NotLeader redirects. A redirect to a site
-  /// missing from the book fails over to round-robin across the book
-  /// (or stays put when the book is empty).
-  std::map<std::uint32_t, SvcAddr> sites;
-  std::size_t max_attempts = 32;
-  /// First reconnect/retry backoff; doubles per consecutive failure up
-  /// to max_backoff_ms. retry_after_ms hints from the server override
-  /// the base (still jittered).
-  std::uint64_t base_backoff_ms = 10;
-  std::uint64_t max_backoff_ms = 640;
-  /// Whole-call deadline; 0 = attempts-only budget.
-  std::uint64_t call_timeout_ms = 15'000;
-  /// Per-socket-operation timeout (connect / send / recv).
-  std::uint64_t io_timeout_ms = 2'000;
-  /// Jitter seed; 0 seeds from the monotonic clock.
-  std::uint64_t seed = 0;
-  /// Stamp every call with the sampled flag and (when the caller left
-  /// req.trace_id zero) a fresh random 64-bit trace id, so the request's
-  /// whole lifecycle is recorded server-side and `trace_check --request`
-  /// can assemble its span tree. Off by default: an unsampled request
-  /// propagates trace id 0 and the servers skip all tracing work.
-  bool sample = false;
-};
-
-struct SvcClientStats {
-  std::uint64_t calls = 0;
-  std::uint64_t attempts = 0;
-  std::uint64_t refences = 0;    // InvalidEpoch absorbed
-  std::uint64_t redirects = 0;   // NotLeader followed
-  std::uint64_t backoffs = 0;    // slept on Unavailable/Conflict/io error
-  std::uint64_t reconnects = 0;
-  std::uint64_t io_errors = 0;
-  std::uint64_t exhausted = 0;   // calls that ran out of budget
-};
-
 class SvcClient {
  public:
-  /// `initial` is the first node to talk to; redirects may move the
-  /// connection elsewhere. Connects lazily on the first call.
-  SvcClient(SvcAddr initial, SvcClientConfig config = {});
+  /// Talks to `addr` only. Connects lazily on the first call.
+  explicit SvcClient(SvcAddr addr);
   ~SvcClient();
   SvcClient(const SvcClient&) = delete;
   SvcClient& operator=(const SvcClient&) = delete;
@@ -95,33 +56,22 @@ class SvcClient {
 
   /// Epoch adopted from the last Ok / InvalidEpoch answer.
   std::uint64_t fenced_epoch() const { return epoch_; }
-  /// Trace id stamped on the most recent sampled call (caller-supplied or
-  /// generated); 0 before the first one.
-  std::uint64_t last_trace_id() const { return last_trace_id_; }
-  /// Address of the node the client currently talks to.
-  const SvcAddr& current_addr() const { return addr_; }
-  const SvcClientStats& stats() const { return stats_; }
 
  private:
   bool ensure_connected();
   void disconnect();
   /// One request/response exchange on the live connection; nullopt on
-  /// any I/O failure (connection is dropped).
+  /// any I/O failure.
   std::optional<runtime::SvcResponse> exchange(
       const runtime::SvcRequest& req);
   void sleep_backoff(std::uint64_t hint_ms, std::uint32_t streak);
   std::uint64_t next_jitter(std::uint64_t bound_ms);
-  std::uint64_t next_trace_id();
 
   SvcAddr addr_;
-  SvcClientConfig config_;
   int fd_ = -1;
   std::uint64_t next_request_id_ = 1;
   std::uint64_t epoch_ = 0;
-  std::uint64_t last_trace_id_ = 0;
   std::uint64_t rng_;
-  std::size_t rr_ = 0;  // round-robin cursor into the site book
-  SvcClientStats stats_;
 };
 
 }  // namespace evs::tools
