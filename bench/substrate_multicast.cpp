@@ -10,9 +10,9 @@
 //
 // A stable group of n members exchanges a fixed number of multicasts; we
 // report, per configuration:
-//   - simulated time per multicast (sim_ms_per_mc): the send window, one
-//     multicast every 2 ms, plus a drain polled in 10 ms steps — it reads
-//     the pacing, not a delivery latency,
+//   - the median simulated time from a multicast's send to its delivery
+//     at the last member (sim_ms_to_all_p50); the sequencer's extra hop
+//     shows here,
 //   - physical messages the network carried per application multicast,
 //   - bytes on the wire per multicast,
 //   - frame encodes per multicast (encode-once fan-out: ~1, not n-1),
@@ -24,7 +24,10 @@
 // the committed BENCH_substrate_multicast.json (bench/compare_counters.py).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "evs/endpoint.hpp"
 #include "obs/dump.hpp"
@@ -32,6 +35,25 @@
 
 namespace evs::bench {
 namespace {
+
+constexpr int kMessages = 200;
+
+// When each multicast of a run was sent and last delivered, and at how
+// many members; the payload names the multicast.
+struct Deliveries {
+  explicit Deliveries(const sim::Scheduler& clock) : clock(clock) {}
+  void delivered(const Bytes& payload) {
+    std::size_t m = 0;
+    for (std::size_t i = 8; i < payload.size(); ++i)  // after "payload-"
+      m = m * 10 + (payload[i] - '0');
+    ++count[m];
+    last[m] = clock.now();
+  }
+  const sim::Scheduler& clock;
+  std::vector<SimTime> sent = std::vector<SimTime>(kMessages);
+  std::vector<SimTime> last = std::vector<SimTime>(kMessages);
+  std::vector<std::size_t> count = std::vector<std::size_t>(kMessages);
+};
 
 // Raw view-synchronous multicast: per-sender FIFO.
 struct Fifo : vsync::Delegate {
@@ -41,7 +63,11 @@ struct Fifo : vsync::Delegate {
     ep.multicast(std::move(payload));
   }
   void on_view(const gms::View&, const vsync::InstallInfo&) override {}
-  void on_deliver(ProcessId, const Bytes&) override { ++delivered; }
+  void on_deliver(ProcessId, const Bytes& payload) override {
+    ++delivered;
+    log->delivered(payload);
+  }
+  Deliveries* log = nullptr;
   std::uint64_t delivered = 0;
 };
 
@@ -53,16 +79,19 @@ struct Total : core::EvsDelegate {
     ep.app_multicast(std::move(payload));
   }
   void on_eview(const core::EView&) override {}
-  void on_app_deliver(ProcessId, const Bytes&) override { ++delivered; }
+  void on_app_deliver(ProcessId, const Bytes& payload) override {
+    ++delivered;
+    log->delivered(payload);
+  }
+  Deliveries* log = nullptr;
   std::uint64_t delivered = 0;
 };
 
 template <typename Order>
 void MulticastBench(benchmark::State& state, const char* tag) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
-  constexpr int kMessages = 200;
 
-  double latency_ms = 0;
+  double to_all_ms = 0;
   double net_msgs_per_mc = 0;
   double wire_bytes_per_mc = 0;
   double frames_per_mc = 0;
@@ -78,9 +107,11 @@ void MulticastBench(benchmark::State& state, const char* tag) {
 
     std::vector<typename Order::Endpoint*> eps;
     std::vector<std::unique_ptr<Order>> delegates;
+    Deliveries log(world.scheduler());
     for (const SiteId site : sites) {
       eps.push_back(&world.spawn<typename Order::Endpoint>(site, cfg));
       delegates.push_back(std::make_unique<Order>());
+      delegates.back()->log = &log;
       delegates.back()->attach(*eps.back());
     }
     // Group formation.
@@ -95,8 +126,8 @@ void MulticastBench(benchmark::State& state, const char* tag) {
     const sim::NetworkStats net_before = world.network().stats();
     std::uint64_t frames_before = 0;
     for (auto* ep : eps) frames_before += ep->stats().frames_encoded;
-    const SimTime t0 = world.scheduler().now();
     for (int m = 0; m < kMessages; ++m) {
+      log.sent[static_cast<std::size_t>(m)] = world.scheduler().now();
       Order::send(*eps[static_cast<std::size_t>(m) % n],
                   to_bytes("payload-" + std::to_string(m)));
       world.run_for(2 * kMillisecond);
@@ -109,9 +140,13 @@ void MulticastBench(benchmark::State& state, const char* tag) {
       if (got >= want) break;
       world.run_for(10 * kMillisecond);
     }
-    const SimTime t1 = world.scheduler().now();
 
-    latency_ms += static_cast<double>(t1 - t0) / kMillisecond / kMessages;
+    std::vector<SimTime> to_all;
+    for (std::size_t m = 0; m < kMessages; ++m)
+      if (log.count[m] == n) to_all.push_back(log.last[m] - log.sent[m]);
+    std::nth_element(to_all.begin(), to_all.begin() + to_all.size() / 2,
+                     to_all.end());
+    to_all_ms += static_cast<double>(to_all[to_all.size() / 2]) / kMillisecond;
     const sim::NetworkStats& net = world.network().stats();
     net_msgs_per_mc +=
         static_cast<double>(net.messages_sent - net_before.messages_sent) /
@@ -141,7 +176,7 @@ void MulticastBench(benchmark::State& state, const char* tag) {
     }
   }
 
-  state.counters["sim_ms_per_mc"] = latency_ms / runs;
+  state.counters["sim_ms_to_all_p50"] = to_all_ms / runs;
   state.counters["net_msgs_per_mc"] = net_msgs_per_mc / runs;
   state.counters["wire_bytes_per_mc"] = wire_bytes_per_mc / runs;
   state.counters["frames_encoded_per_mc"] = frames_per_mc / runs;

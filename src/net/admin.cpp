@@ -1,15 +1,11 @@
 #include "net/admin.hpp"
 
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
+#include <algorithm>
 #include <optional>
 #include <sstream>
 #include <string_view>
+#include <utility>
 #include <vector>
-
-#include "common/check.hpp"
 
 namespace evs::net {
 
@@ -44,6 +40,24 @@ bool parse_u64(std::string_view text, std::uint64_t& out) {
   return true;
 }
 
+/// Splits an &-separated "k=v" list (a query, or an
+/// application/x-www-form-urlencoded body) into its pairs, empty ones
+/// included; a pair without '=' has an empty value. No percent-decoding:
+/// tokens and our parameter names never need it.
+std::vector<std::pair<std::string_view, std::string_view>> split_params(
+    std::string_view text) {
+  std::vector<std::pair<std::string_view, std::string_view>> pairs;
+  for (std::size_t pos = 0; pos <= text.size();) {
+    const std::size_t amp = std::min(text.find('&', pos), text.size());
+    const std::string_view pair = text.substr(pos, amp - pos);
+    const std::size_t eq = std::min(pair.find('='), pair.size());
+    pairs.emplace_back(pair.substr(0, eq),
+                       pair.substr(std::min(eq + 1, pair.size())));
+    pos = amp + 1;
+  }
+  return pairs;
+}
+
 /// Parses /trace's query: any &-separated combination of "since=<u64>"
 /// and "req=<u64>" (each at most once). Empty query is since=0 with no
 /// request filter; anything else — unknown keys, empty or overflowing
@@ -54,87 +68,42 @@ bool parse_trace_query(const std::string& query, std::uint64_t& since,
   req_filter = false;
   req = 0;
   if (query.empty()) return true;
-  std::size_t pos = 0;
   bool saw_since = false;
-  while (pos <= query.size()) {
-    std::size_t amp = query.find('&', pos);
-    if (amp == std::string::npos) amp = query.size();
-    const std::string_view pair =
-        std::string_view(query).substr(pos, amp - pos);
-    pos = amp + 1;
-    constexpr std::string_view kSince = "since=";
-    constexpr std::string_view kReq = "req=";
-    if (pair.size() > kSince.size() &&
-        pair.compare(0, kSince.size(), kSince) == 0) {
-      if (saw_since || !parse_u64(pair.substr(kSince.size()), since))
-        return false;
+  for (const auto& [key, value] : split_params(query)) {
+    if (key == "since" && !saw_since && parse_u64(value, since)) {
       saw_since = true;
-    } else if (pair.size() > kReq.size() &&
-               pair.compare(0, kReq.size(), kReq) == 0) {
-      if (req_filter || !parse_u64(pair.substr(kReq.size()), req) || req == 0)
-        return false;
+    } else if (key == "req" && !req_filter && parse_u64(value, req) &&
+               req != 0) {
       req_filter = true;
     } else {
       return false;
     }
-    if (pos > query.size()) break;
   }
   return true;
-}
-
-char ascii_lower(char c) {
-  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
 }
 
 /// Case-insensitive header lookup in a raw header block ("Name: value"
 /// lines); returns the value with surrounding blanks stripped.
 std::optional<std::string> find_header(const std::string& headers,
                                        std::string_view name) {
-  std::size_t pos = 0;
-  while (pos < headers.size()) {
-    std::size_t eol = headers.find('\n', pos);
-    if (eol == std::string::npos) eol = headers.size();
-    const std::string_view line =
-        std::string_view(headers).substr(pos, eol - pos);
+  const auto lower = [](char c) {
+    return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+  };
+  for (std::size_t pos = 0; pos < headers.size();) {
+    const std::size_t eol = std::min(headers.find('\n', pos), headers.size());
+    std::string_view line = std::string_view(headers).substr(pos, eol - pos);
     pos = eol + 1;
-    const std::size_t colon = line.find(':');
-    if (colon == std::string_view::npos || colon != name.size()) continue;
-    bool match = true;
-    for (std::size_t i = 0; i < name.size(); ++i) {
-      if (ascii_lower(line[i]) != ascii_lower(name[i])) {
-        match = false;
-        break;
-      }
-    }
-    if (!match) continue;
-    std::size_t begin = colon + 1;
-    std::size_t end = line.size();
-    while (begin < end && (line[begin] == ' ' || line[begin] == '\t')) ++begin;
-    while (end > begin &&
-           (line[end - 1] == ' ' || line[end - 1] == '\t' ||
-            line[end - 1] == '\r'))
-      --end;
+    if (line.size() <= name.size() || line[name.size()] != ':' ||
+        !std::equal(name.begin(), name.end(), line.begin(),
+                    [&](char a, char b) { return lower(a) == lower(b); }))
+      continue;
+    line.remove_prefix(name.size() + 1);
+    const std::size_t begin = line.find_first_not_of(" \t\r");
+    if (begin == std::string_view::npos) return std::string();
+    const std::size_t end = line.find_last_not_of(" \t\r") + 1;
     return std::string(line.substr(begin, end - begin));
   }
   return std::nullopt;
-}
-
-/// Pulls `key`'s value out of an application/x-www-form-urlencoded body
-/// ("a=1&b=2"); empty string when absent. No percent-decoding: tokens and
-/// our parameter names never need it.
-std::string body_param(const std::string& body, std::string_view key) {
-  std::size_t pos = 0;
-  while (pos <= body.size()) {
-    std::size_t amp = body.find('&', pos);
-    if (amp == std::string::npos) amp = body.size();
-    const std::string_view pair =
-        std::string_view(body).substr(pos, amp - pos);
-    pos = amp + 1;
-    if (pair.size() > key.size() && pair[key.size()] == '=' &&
-        pair.compare(0, key.size(), key) == 0)
-      return std::string(pair.substr(key.size() + 1));
-  }
-  return {};
 }
 
 }  // namespace
@@ -148,74 +117,42 @@ std::uint64_t admin_command_code(const std::string& name) {
 }
 
 AdminServer::AdminServer(EventLoop& loop, std::uint32_t ip, std::uint16_t port)
-    : loop_(loop),
-      listener_(
-          loop, ip, port,
-          TcpListener::Callbacks{
-              .at_capacity =
-                  [this]() { return connections_.size() >= kMaxConnections; },
-              .on_connection = [this](int fd) { on_connection(fd); },
-              .on_shed = [this]() { ++stats_.dropped_overload; },
-          },
-          "admin") {}
+    : engine_(loop, ip, port, "admin", kMaxConnections, /*max_out_bytes=*/0,
+              {.on_data = [this](Conn& conn, SimTime) { on_data(conn); },
+               .on_sent = {}}) {}
 
-AdminServer::~AdminServer() {
-  std::vector<int> fds;
-  fds.reserve(connections_.size());
-  for (const auto& [fd, conn] : connections_) fds.push_back(fd);
-  for (const int fd : fds) close_connection(fd);
+AdminStats AdminServer::stats() const {
+  AdminStats stats = stats_;
+  stats.connections_accepted = engine_.stats().accepted;
+  stats.dropped_overload = engine_.stats().shed;
+  return stats;
 }
 
-void AdminServer::on_connection(int fd) {
-  ++stats_.connections_accepted;
-  connections_.emplace(fd, Connection{});
-  loop_.add_fd(fd, [this, fd]() { on_readable(fd); });
-}
-
-void AdminServer::on_readable(int fd) {
-  const auto it = connections_.find(fd);
-  if (it == connections_.end()) return;
-  Connection& conn = it->second;
-  char buf[1024];
-  for (;;) {
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n == 0) {  // peer closed; nothing more to serve it
-      close_connection(fd);
-      return;
-    }
-    if (n < 0) break;  // EAGAIN (or transient): wait for the next wake
-    if (conn.responded) continue;  // draining a late-talking client
-    conn.in.append(buf, static_cast<std::size_t>(n));
-    // A complete header section is the request line plus headers up to a
-    // blank line; a POST body (bounded separately) follows it.
-    std::size_t terminator = conn.in.find("\r\n\r\n");
-    std::size_t terminator_len = 4;
-    const std::size_t bare = conn.in.find("\n\n");
-    if (bare != std::string::npos &&
-        (terminator == std::string::npos || bare < terminator)) {
-      terminator = bare;
-      terminator_len = 2;
-    }
-    if (terminator == std::string::npos) {
-      if (conn.in.size() > kMaxRequestBytes) {
-        ++stats_.dropped_oversize;
-        start_response(fd, conn, 400, "text/plain", "request too large\n", {});
-        return;
-      }
-      continue;
-    }
-    handle_request(fd, conn, terminator + terminator_len);
-    // A fully-flushed response closes and erases the connection, so conn
-    // may be gone here — re-look it up before touching it again.
-    const auto again = connections_.find(fd);
-    if (again == connections_.end() || again->second.responded) return;
-    // POST body still in flight: keep reading (the declared length has
-    // already been checked against kMaxBodyBytes, so growth is bounded).
+void AdminServer::on_data(Conn& conn) {
+  // A complete header section is the request line plus headers up to a
+  // blank line; a POST body (bounded separately) follows it.
+  std::size_t terminator = conn.in.find("\r\n\r\n");
+  std::size_t terminator_len = 4;
+  const std::size_t bare = conn.in.find("\n\n");
+  if (bare != std::string::npos &&
+      (terminator == std::string::npos || bare < terminator)) {
+    terminator = bare;
+    terminator_len = 2;
   }
+  if (terminator == std::string::npos ? conn.in.size() > kMaxRequestBytes
+                                      : terminator > kMaxRequestBytes) {
+    ++stats_.dropped_oversize;
+    respond(conn, 400, "text/plain", "request too large\n");
+    return;
+  }
+  // No terminator yet, or a POST body still in flight (its declared length
+  // was checked against kMaxBodyBytes, so the buffer stays bounded): wait
+  // for the next read pass.
+  if (terminator != std::string::npos)
+    handle_request(conn, terminator + terminator_len);
 }
 
-void AdminServer::handle_request(int fd, Connection& conn,
-                                 std::size_t body_at) {
+void AdminServer::handle_request(Conn& conn, std::size_t body_at) {
   const std::size_t eol = conn.in.find_first_of("\r\n");
   const std::string line = conn.in.substr(0, eol);
   // Strict request line: <METHOD> <target> HTTP/1.x — exactly three tokens.
@@ -228,98 +165,56 @@ void AdminServer::handle_request(int fd, Connection& conn,
                       line.find(' ', sp2 + 1) == std::string::npos;
   const std::string method = shaped ? line.substr(0, sp1) : std::string{};
   if (!shaped || (method != "GET" && method != "POST") ||
-      line.compare(sp2 + 1, 5, "HTTP/") != 0) {
-    ++stats_.dropped_malformed;
-    start_response(fd, conn, 400, "text/plain", "bad request\n", {});
-    return;
-  }
+      line.compare(sp2 + 1, 5, "HTTP/") != 0)
+    return refuse(conn, stats_.dropped_malformed, 400, "bad request\n");
   const std::string target = line.substr(sp1 + 1, sp2 - sp1 - 1);
   const std::size_t qmark = target.find('?');
   const std::string path = target.substr(0, qmark);
   const std::string query =
       qmark == std::string::npos ? std::string{} : target.substr(qmark + 1);
+  if (method == "GET") return serve_get(conn, path, query);
+
   const std::string headers = conn.in.substr(eol, body_at - eol);
-
-  if (method == "POST") {
-    std::uint64_t length = 0;
-    if (const auto cl = find_header(headers, "content-length")) {
-      if (!parse_u64(*cl, length)) {
-        ++stats_.dropped_malformed;
-        start_response(fd, conn, 400, "text/plain", "bad content-length\n",
-                       {});
-        return;
-      }
-    }
-    if (length > kMaxBodyBytes) {
-      ++stats_.dropped_oversize;
-      start_response(fd, conn, 413, "text/plain", "body too large\n", {});
-      return;
-    }
-    if (conn.in.size() < body_at + length) return;  // body still in flight
-    const std::string body = conn.in.substr(body_at, length);
-    handle_command(fd, conn, path, query, headers, body);
-    return;
-  }
-
-  std::string extra_headers;
-  std::string content_type = "text/plain";
-  bool ok = true;
-  std::string body = route(path, query, extra_headers, content_type, ok);
-  if (!ok) {
-    ++stats_.dropped_malformed;
-    start_response(fd, conn, 400, "text/plain", std::move(body), {});
-    return;
-  }
-  if (body.empty() && content_type.empty()) {  // route said 404
-    ++stats_.not_found;
-    start_response(fd, conn, 404, "text/plain", "not found\n", {});
-    return;
-  }
-  if (content_type == "unavailable") {
-    start_response(fd, conn, 503, "text/plain", std::move(body), {});
-    return;
-  }
-  ++stats_.requests_ok;
-  start_response(fd, conn, 200, content_type, std::move(body), extra_headers);
+  std::uint64_t length = 0;
+  if (const auto cl = find_header(headers, "content-length");
+      cl && !parse_u64(*cl, length))
+    return refuse(conn, stats_.dropped_malformed, 400, "bad content-length\n");
+  if (length > kMaxBodyBytes)
+    return refuse(conn, stats_.dropped_oversize, 413, "body too large\n");
+  if (conn.in.size() < body_at + length) return;  // body still in flight
+  handle_command(conn, path, query, headers, conn.in.substr(body_at, length));
 }
 
-std::string AdminServer::route(const std::string& path,
-                               const std::string& query,
-                               std::string& extra_headers,
-                               std::string& content_type, bool& ok) {
-  if (path == "/status") {
-    if (!status_) {
-      content_type = "unavailable";
-      return "no status provider\n";
-    }
-    content_type = "application/json";
-    return status_();
-  }
-  if (path == "/metrics" || path == "/metrics.prom") {
-    if (registry_ == nullptr) {
-      content_type = "unavailable";
-      return "no metrics registry\n";
-    }
+void AdminServer::serve_get(Conn& conn, const std::string& path,
+                            const std::string& query) {
+  std::string content_type = "application/json";
+  std::string body;
+  std::string extra_headers;
+  if (path == "/status" || path == "/health") {
+    const auto& provider = path == "/status" ? status_ : health_;
+    if (!provider)
+      return respond(conn, 503, "text/plain",
+                     "no " + path.substr(1) + " provider\n");
+    body = provider();
+  } else if (path == "/metrics" || path == "/metrics.prom") {
+    if (registry_ == nullptr)
+      return respond(conn, 503, "text/plain", "no metrics registry\n");
     if (refresh_) refresh_();
     if (path == "/metrics") {
-      content_type = "application/json";
-      return registry_->to_json() + "\n";
+      body = registry_->to_json() + "\n";
+    } else {
+      content_type = "text/plain; version=0.0.4";
+      body = registry_->to_prometheus();
     }
-    content_type = "text/plain; version=0.0.4";
-    return registry_->to_prometheus();
-  }
-  if (path == "/trace") {
-    if (trace_ == nullptr) {
-      content_type = "unavailable";
-      return "no trace bus\n";
-    }
+  } else if (path == "/trace") {
+    if (trace_ == nullptr)
+      return respond(conn, 503, "text/plain", "no trace bus\n");
     std::uint64_t since = 0;
     bool req_filter = false;
     std::uint64_t req = 0;
-    if (!parse_trace_query(query, since, req_filter, req)) {
-      ok = false;
-      return "bad trace query (since=<u64>, req=<u64>)\n";
-    }
+    if (!parse_trace_query(query, since, req_filter, req))
+      return refuse(conn, stats_.dropped_malformed, 400,
+                    "bad trace query (since=<u64>, req=<u64>)\n");
     std::uint64_t next = since;
     std::ostringstream os;
     for (const auto& [index, event] :
@@ -331,95 +226,69 @@ std::string AdminServer::route(const std::string& path,
         continue;
       obs::write_jsonl_event(os, event, &index);
     }
-    extra_headers =
-        "X-Evs-Next-Since: " + std::to_string(next) + "\r\n";
+    extra_headers = "X-Evs-Next-Since: " + std::to_string(next) + "\r\n";
     content_type = "application/x-ndjson";
-    return os.str();
+    body = os.str();
+  } else {
+    return refuse(conn, stats_.not_found, 404, "not found\n");
   }
-  if (path == "/health") {
-    if (!health_) {
-      content_type = "unavailable";
-      return "no health provider\n";
-    }
-    content_type = "application/json";
-    return health_();
-  }
-  content_type.clear();  // 404
-  return {};
+  ++stats_.requests_ok;
+  respond(conn, 200, content_type, std::move(body), extra_headers);
 }
 
-void AdminServer::handle_command(int fd, Connection& conn,
-                                 const std::string& path,
+void AdminServer::handle_command(Conn& conn, const std::string& path,
                                  const std::string& query,
                                  const std::string& headers,
                                  const std::string& body) {
-  std::string name;
+  std::string name = path.substr(1);
   std::string arg;
   if (path == "/join" || path == "/leave" || path == "/merge-all") {
-    if (!query.empty()) {
-      ++stats_.dropped_malformed;
-      start_response(fd, conn, 400, "text/plain", "unexpected query\n", {});
-      return;
-    }
-    name = path.substr(1);
+    if (!query.empty())
+      return refuse(conn, stats_.dropped_malformed, 400, "unexpected query\n");
   } else if (path == "/merge") {
     constexpr std::string_view kKey = "svset=";
     if (query.size() <= kKey.size() ||
-        query.compare(0, kKey.size(), kKey) != 0) {
-      ++stats_.dropped_malformed;
-      start_response(fd, conn, 400, "text/plain",
-                     "merge requires ?svset=<id>,<id>,...\n", {});
-      return;
-    }
-    name = "merge";
+        query.compare(0, kKey.size(), kKey) != 0)
+      return refuse(conn, stats_.dropped_malformed, 400,
+                    "merge requires ?svset=<id>,<id>,...\n");
     arg = query.substr(kKey.size());
   } else {
-    ++stats_.not_found;
-    start_response(fd, conn, 404, "text/plain", "not found\n", {});
-    return;
+    return refuse(conn, stats_.not_found, 404, "not found\n");
   }
 
   // Authenticate before touching the node: header token first, then the
   // form body. An unconfigured token keeps the whole write side off.
-  std::string presented;
-  if (const auto header_token = find_header(headers, "x-admin-token"))
-    presented = *header_token;
-  if (presented.empty()) presented = body_param(body, "token");
-  if (token_.empty()) {
-    ++stats_.dropped_unauthorized;
-    start_response(fd, conn, 403, "text/plain",
-                   "admin write side disabled (no admin_token configured)\n",
-                   {});
-    return;
-  }
-  if (presented != token_) {
-    ++stats_.dropped_unauthorized;
-    start_response(fd, conn, 401, "text/plain", "unauthorized\n", {});
-    return;
-  }
+  std::string presented = find_header(headers, "x-admin-token").value_or("");
+  for (const auto& [key, value] : split_params(body))
+    if (presented.empty() && key == "token") presented = value;
+  if (token_.empty())
+    return refuse(conn, stats_.dropped_unauthorized, 403,
+                  "admin write side disabled (no admin_token configured)\n");
+  if (presented != token_)
+    return refuse(conn, stats_.dropped_unauthorized, 401, "unauthorized\n");
 
-  if (!command_) {
-    start_response(fd, conn, 503, "text/plain", "no command handler\n", {});
-    return;
-  }
+  if (!command_)
+    return respond(conn, 503, "text/plain", "no command handler\n");
   const AdminCommandResult result = command_(name, arg);
-  if (!result.ok) {
-    ++stats_.commands_rejected;
-    std::string message =
-        result.message.empty() ? "rejected" : result.message;
-    start_response(fd, conn, 400, "text/plain", std::move(message) + "\n", {});
-    return;
-  }
+  if (!result.ok)
+    return refuse(
+        conn, stats_.commands_rejected, 400,
+        (result.message.empty() ? "rejected" : result.message) + "\n");
   ++stats_.commands_ok;
   ++stats_.requests_ok;
-  start_response(fd, conn, 200, "application/json",
-                 "{\"ok\": true, \"command\": \"" + name + "\"}\n", {});
+  respond(conn, 200, "application/json",
+          "{\"ok\": true, \"command\": \"" + name + "\"}\n");
 }
 
-void AdminServer::start_response(int fd, Connection& conn, int code,
-                                 const std::string& content_type,
-                                 std::string body,
-                                 const std::string& extra_headers) {
+void AdminServer::refuse(Conn& conn, std::uint64_t& counter, int code,
+                         std::string message) {
+  ++counter;
+  respond(conn, code, "text/plain", std::move(message));
+}
+
+void AdminServer::respond(Conn& conn, int code,
+                          const std::string& content_type, std::string body,
+                          const std::string& extra_headers) {
   std::ostringstream os;
   os << "HTTP/1.0 " << code << " " << reason_phrase(code) << "\r\n"
      << "Content-Type: " << content_type << "\r\n"
@@ -429,55 +298,24 @@ void AdminServer::start_response(int fd, Connection& conn, int code,
   conn.out = os.str() + body;
   conn.in.clear();
   conn.in.shrink_to_fit();
-  conn.responded = true;
-  flush(fd, conn);
-}
-
-void AdminServer::flush(int fd, Connection& conn) {
-  while (conn.sent < conn.out.size()) {
-    const ssize_t n = ::send(fd, conn.out.data() + conn.sent,
-                             conn.out.size() - conn.sent, MSG_NOSIGNAL);
-    if (n >= 0) {
-      conn.sent += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      // Finish under write interest; a slow scraper never blocks the loop.
-      loop_.set_writable(fd, [this, fd]() { on_writable(fd); });
-      return;
-    }
-    break;  // broken pipe etc.: give up on this connection
-  }
-  close_connection(fd);
-}
-
-void AdminServer::on_writable(int fd) {
-  const auto it = connections_.find(fd);
-  if (it == connections_.end()) return;
-  loop_.set_writable(fd, {});
-  flush(fd, it->second);
-}
-
-void AdminServer::close_connection(int fd) {
-  loop_.remove_fd(fd);
-  ::close(fd);
-  connections_.erase(fd);
+  engine_.close_after_drain(conn);
 }
 
 void AdminServer::export_metrics(obs::MetricsRegistry& registry,
                                  const std::string& prefix) const {
-  registry.counter(prefix + ".connections_accepted")
-      .set(stats_.connections_accepted);
-  registry.counter(prefix + ".requests_ok").set(stats_.requests_ok);
-  registry.counter(prefix + ".dropped_malformed").set(stats_.dropped_malformed);
-  registry.counter(prefix + ".dropped_oversize").set(stats_.dropped_oversize);
-  registry.counter(prefix + ".dropped_overload").set(stats_.dropped_overload);
-  registry.counter(prefix + ".dropped_unauthorized")
-      .set(stats_.dropped_unauthorized);
-  registry.counter(prefix + ".not_found").set(stats_.not_found);
-  registry.counter(prefix + ".commands_ok").set(stats_.commands_ok);
-  registry.counter(prefix + ".commands_rejected")
-      .set(stats_.commands_rejected);
+  const AdminStats s = stats();
+  for (const auto& [name, value] : {
+           std::pair{"connections_accepted", s.connections_accepted},
+           {"requests_ok", s.requests_ok},
+           {"dropped_malformed", s.dropped_malformed},
+           {"dropped_oversize", s.dropped_oversize},
+           {"dropped_overload", s.dropped_overload},
+           {"dropped_unauthorized", s.dropped_unauthorized},
+           {"not_found", s.not_found},
+           {"commands_ok", s.commands_ok},
+           {"commands_rejected", s.commands_rejected},
+       })
+    registry.counter(prefix + "." + name).set(value);
 }
 
 }  // namespace evs::net

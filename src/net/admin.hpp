@@ -55,17 +55,19 @@
 // unknown method, unparseable Content-Length) is counted and the
 // connection dropped with a terse error, bodies over the cap are 413'd,
 // and a cap on simultaneous connections sheds load instead of queueing
-// it. Responses that overrun the socket buffer finish under EPOLLOUT
-// write interest — a slow scraper never blocks the loop.
+// it. Connections run on the node's one TCP engine (net/tcp_server.hpp):
+// a response is queued whole and leaves in the Reply flush stage, the
+// engine closes the connection once it has drained (HTTP/1.0
+// `Connection: close`), and a response that overruns the socket buffer
+// finishes under EPOLLOUT — a slow scraper never blocks the loop.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 
 #include "net/event_loop.hpp"
-#include "net/tcp_listener.hpp"
+#include "net/tcp_server.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -109,11 +111,10 @@ class AdminServer {
   /// bound_port()) and registers with the loop. Throws InvariantViolation
   /// on bind/listen failure.
   AdminServer(EventLoop& loop, std::uint32_t ip, std::uint16_t port);
-  ~AdminServer();
   AdminServer(const AdminServer&) = delete;
   AdminServer& operator=(const AdminServer&) = delete;
 
-  std::uint16_t bound_port() const { return listener_.bound_port(); }
+  std::uint16_t bound_port() const { return engine_.bound_port(); }
 
   /// Supplies the /status body (a complete JSON object).
   void set_status(std::function<std::string()> fn) { status_ = std::move(fn); }
@@ -146,42 +147,32 @@ class AdminServer {
                                        const std::string& arg)>;
   void set_command(CommandFn fn) { command_ = std::move(fn); }
 
-  const AdminStats& stats() const { return stats_; }
+  /// The server's counters, connection counts included.
+  AdminStats stats() const;
   void export_metrics(obs::MetricsRegistry& registry,
                       const std::string& prefix = "admin") const;
 
  private:
-  struct Connection {
-    std::string in;       // bounded request buffer
-    std::string out;      // response remainder awaiting the socket
-    std::size_t sent = 0;
-    bool responded = false;
-  };
+  struct NoExtra {};
+  using Engine = TcpServer<NoExtra>;
+  using Conn = Engine::Conn;
 
-  void on_connection(int fd);
-  void on_readable(int fd);
-  void on_writable(int fd);
-  /// Parses conn.in; fills conn.out once the request (line + headers +
-  /// any POST body) is complete, or leaves conn.responded false when more
-  /// body bytes are still owed. Counts drops.
-  void handle_request(int fd, Connection& conn, std::size_t body_at);
-  std::string route(const std::string& path, const std::string& query,
-                    std::string& extra_headers, std::string& content_type,
-                    bool& ok);
-  /// Authenticates and dispatches one POST command; sends the response.
-  void handle_command(int fd, Connection& conn, const std::string& path,
+  void on_data(Conn& conn);
+  /// Parses conn.in once the header section is complete; responds, or
+  /// returns with nothing queued while POST body bytes are still owed.
+  void handle_request(Conn& conn, std::size_t body_at);
+  void serve_get(Conn& conn, const std::string& path,
+                 const std::string& query);
+  /// Authenticates and dispatches one POST command.
+  void handle_command(Conn& conn, const std::string& path,
                       const std::string& query, const std::string& headers,
                       const std::string& body);
-  void start_response(int fd, Connection& conn, int code,
-                      const std::string& content_type, std::string body,
-                      const std::string& extra_headers);
-  /// Writes what the socket accepts; closes when done or broken.
-  void flush(int fd, Connection& conn);
-  void close_connection(int fd);
-
-  EventLoop& loop_;
-  std::map<int, Connection> connections_;
-  TcpListener listener_;  // after connections_: accepts may fire during init
+  /// Counts one refused request in `counter` and answers it `code`.
+  void refuse(Conn& conn, std::uint64_t& counter, int code,
+              std::string message);
+  /// Queues the whole response and closes the connection once it drained.
+  void respond(Conn& conn, int code, const std::string& content_type,
+               std::string body, const std::string& extra_headers = {});
 
   std::function<std::string()> status_;
   std::function<std::string()> health_;
@@ -192,6 +183,7 @@ class AdminServer {
   CommandFn command_;
 
   AdminStats stats_;
+  Engine engine_;
 };
 
 }  // namespace evs::net

@@ -44,7 +44,6 @@ std::optional<PeerAddr> parse_addr(const std::string& text) {
     port = port * 10 + static_cast<std::uint32_t>(text[i] - '0');
     if (port > 65535) return std::nullopt;
   }
-  if (port == 0) return std::nullopt;
   return PeerAddr{ip, static_cast<std::uint16_t>(port)};
 }
 
@@ -98,7 +97,8 @@ bool parse_node_config(std::istream& in, NodeConfig& out, std::string& error) {
       if (!(fields >> site >> addr_text))
         return fail("expected: peer <site-id> <ip:port>");
       const auto addr = parse_addr(addr_text);
-      if (!addr) return fail("bad address '" + addr_text + "'");
+      if (!addr || addr->port == 0)  // peers dial it: no ephemeral port
+        return fail("bad address '" + addr_text + "'");
       if (!out.peers.emplace(SiteId{site}, *addr).second)
         return fail("duplicate peer " + std::to_string(site));
     } else if (keyword == "admin") {

@@ -35,7 +35,10 @@
 // whole fleet. An `admin_token` line (one word, no spaces) arms the admin
 // plane's POST side: control commands (/join, /leave, /merge-all,
 // /merge) are only accepted when they carry the same token, and a config
-// without the line leaves the plane read-only. Parsing is strict:
+// without the line leaves the plane read-only. An admin or svc line for
+// `self` may give port 0: the node then listens on an ephemeral port and
+// prints the one it got (evs_node's `admin site=` / `svc site=` lines).
+// Peer lines may not, since peers dial them. Parsing is strict:
 // unknown keywords, duplicate sites, admin lines for unknown sites, or
 // malformed addresses fail with a line-numbered error rather than
 // half-loading a cluster map.
@@ -62,7 +65,8 @@ struct PeerAddr {
   std::string str() const;
 };
 
-/// Parses "a.b.c.d:port"; returns nullopt on any malformation.
+/// Parses "a.b.c.d:port"; returns nullopt on any malformation. Port 0 is
+/// accepted: a listener bound there takes an ephemeral port.
 std::optional<PeerAddr> parse_addr(const std::string& text);
 
 /// One `group <id> <object>` line: a group instance this process hosts.

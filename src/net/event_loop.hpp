@@ -49,8 +49,9 @@ class EventLoop final : public runtime::Clock, public runtime::TimerService {
   void remove_fd(int fd);
 
   /// Adds (non-empty fn) or clears (empty fn) level-triggered write
-  /// interest on an fd previously registered with add_fd; used by the
-  /// admin plane to finish responses that did not fit the socket buffer.
+  /// interest on an fd previously registered with add_fd; used by the TCP
+  /// engine (net/tcp_server.hpp) to finish writes that did not fit the
+  /// socket buffer.
   void set_writable(int fd, std::function<void()> on_writable);
 
   /// Runs until stop()/request_stop(). Returns the number of timer +
@@ -81,7 +82,7 @@ class EventLoop final : public runtime::Clock, public runtime::TimerService {
   /// multicast batch so a reply never queues behind it.
   enum class FlushStage : std::uint8_t {
     Durable,  // WAL group commit (store/wal_store.hpp)
-    Reply,    // client front-door replies (svc/server.hpp)
+    Reply,    // TCP replies: svc and admin (net/tcp_server.hpp)
     Wire,     // protocol datagrams (net/udp_transport.hpp)
   };
 

@@ -1,10 +1,5 @@
 #include "svc/server.hpp"
 
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <algorithm>
-#include <cerrno>
 #include <utility>
 #include <vector>
 
@@ -21,127 +16,77 @@ SvcServer::SvcServer(net::EventLoop& loop, std::uint32_t ip,
                      std::uint16_t port, SvcServerConfig config)
     : loop_(loop),
       config_(config),
-      listener_(
-          loop, ip, port,
-          net::TcpListener::Callbacks{
-              .at_capacity =
-                  [this]() {
-                    return connections_.size() >= config_.max_connections;
-                  },
-              .on_connection = [this](int fd) { on_connection(fd); },
-              .on_shed = [this]() { ++stats_.connections_shed; },
-          },
-          "svc") {
-  flush_hook_ = loop_.add_flush_hook(net::EventLoop::FlushStage::Reply,
-                                     [this]() { flush_replies(); });
-}
+      engine_(loop, ip, port, "svc", config_.max_connections,
+              config_.max_out_bytes,
+              {.on_data = [this](Conn& conn,
+                                 SimTime arrival) { on_data(conn, arrival); },
+               .on_sent = [this](Conn& conn,
+                                 std::size_t sent) { on_sent(conn, sent); }}) {}
 
 SvcServer::~SvcServer() {
-  loop_.remove_flush_hook(flush_hook_);
   *alive_ = false;  // completions and timers in flight become no-ops
-  std::vector<int> fds;
-  fds.reserve(connections_.size());
-  for (const auto& [fd, conn] : connections_) fds.push_back(fd);
-  for (const int fd : fds) {
-    loop_.remove_fd(fd);
-    ::close(fd);
-  }
-  connections_.clear();
 }
 
-void SvcServer::on_connection(int fd) {
-  ++stats_.connections_accepted;
-  Conn conn;
-  conn.gen = next_conn_gen_++;
-  connections_.emplace(fd, std::move(conn));
-  loop_.add_fd(fd, [this, fd]() { on_readable(fd); });
+SvcStats SvcServer::stats() const {
+  SvcStats stats = stats_;
+  const net::TcpStats& tcp = engine_.stats();
+  stats.connections_accepted = tcp.accepted;
+  stats.connections_shed = tcp.shed;
+  stats.slow_consumer_closed = tcp.overflow_closed;
+  stats.send_calls = tcp.send_calls;
+  stats.read_calls = tcp.read_calls;
+  return stats;
 }
 
-void SvcServer::on_readable(int fd) {
-  // One arrival stamp per socket pass: every frame parsed below waited at
-  // least from here, so pipelined requests see their queueing delay.
-  const SimTime arrival = loop_.now();
-  {
-    const auto it = connections_.find(fd);
-    if (it == connections_.end()) return;
-    Conn& conn = it->second;
-    // Read straight into the buffer, stopping at the first short read:
-    // the socket is then empty, and the loop is level-triggered, so the
-    // read(2) that would only return EAGAIN is never made.
-    constexpr std::size_t kReadChunk = 4096;
-    for (;;) {
-      const std::size_t used = conn.in.size();
-      conn.in.resize(used + kReadChunk);
-      ++stats_.read_calls;
-      const ssize_t n = ::read(fd, conn.in.data() + used, kReadChunk);
-      conn.in.resize(used + static_cast<std::size_t>(std::max<ssize_t>(n, 0)));
-      if (n == 0) {  // peer closed
-        close_connection(fd);
-        return;
-      }
-      if (n < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) break;
-        close_connection(fd);  // reset etc.
-        return;
-      }
-      if (static_cast<std::size_t>(n) < kReadChunk) break;
-    }
-  }
-  // Parse complete frames. Every dispatch may mutate connections_ (a
-  // synchronous completion can hit the slow-consumer guard or a broken
-  // pipe and close this very connection), so the Conn is re-looked-up
-  // per frame and consumed bytes erased only at the end.
+void SvcServer::on_data(Conn& conn, SimTime arrival) {
+  // Every dispatch may close this connection (a synchronous completion
+  // can hit the slow-consumer guard), so the slot is looked up again per
+  // frame and consumed bytes are erased only at the end.
+  const Engine::Handle handle = Engine::handle(conn);
   std::size_t offset = 0;
-  for (;;) {
-    const auto it = connections_.find(fd);
-    if (it == connections_.end()) return;
-    Conn& conn = it->second;
+  for (Conn* c; (c = engine_.find(handle)) != nullptr;) {
     Bytes body;
-    const FrameStatus status =
-        next_frame(conn.in, offset, body, config_.max_frame_bytes);
-    if (status == FrameStatus::NeedMore) break;
-    if (status == FrameStatus::Malformed) {
-      ++stats_.dropped_malformed;
-      close_connection(fd);
+    const FrameStatus status = next_frame(c->in, offset, body);
+    if (status == FrameStatus::NeedMore) {
+      c->in.erase(0, offset);
       return;
     }
     WireRequest wire;
-    try {
-      wire = decode_request(body);
-    } catch (const DecodeError&) {
+    bool well_formed = status == FrameStatus::Frame;
+    if (well_formed) {
+      try {
+        wire = decode_request(body);
+      } catch (const DecodeError&) {
+        well_formed = false;
+      }
+    }
+    if (!well_formed) {
       ++stats_.dropped_malformed;
-      close_connection(fd);
+      engine_.close(*c);
       return;
     }
-    if (!dispatch(fd, wire.request_id, std::move(wire.req), arrival)) return;
+    if (!dispatch(*c, wire.request_id, std::move(wire.req), arrival)) return;
   }
-  const auto it = connections_.find(fd);
-  if (it != connections_.end() && offset > 0) it->second.in.erase(0, offset);
 }
 
-bool SvcServer::dispatch(int fd, std::uint64_t request_id, SvcRequest req,
+bool SvcServer::dispatch(Conn& conn, std::uint64_t request_id, SvcRequest req,
                          SimTime arrival) {
-  const auto it = connections_.find(fd);
-  if (it == connections_.end()) return false;
-  Conn& conn = it->second;
-
   // Admission control: shed with a retry hint instead of queueing beyond
   // the caps; the request never reaches the node.
-  if (!handler_ || conn.inflight >= config_.max_inflight_per_conn ||
+  if (!handler_ || conn.extra.inflight >= config_.max_inflight_per_conn ||
       pending_ >= config_.max_pending) {
     ++stats_.requests_shed;
     return queue_response(
-        fd, conn, request_id,
+        conn, request_id,
         SvcResponse::unavailable(config_.shed_retry_after_ms));
   }
 
-  ++conn.inflight;
+  ++conn.extra.inflight;
   ++pending_;
   auto ctx = std::make_shared<RequestCtx>();
   ctx->server = this;
   ctx->alive = alive_;
-  ctx->fd = fd;
-  ctx->gen = conn.gen;
+  ctx->conn = Engine::handle(conn);
   ctx->request_id = request_id;
   ctx->trace = runtime::effective_trace(req);
   ctx->start = loop_.now();
@@ -162,7 +107,7 @@ bool SvcServer::dispatch(int fd, std::uint64_t request_id, SvcRequest req,
   }
   handler_(std::move(req),
            [ctx](SvcResponse resp) { complete(ctx, std::move(resp), false); });
-  return connections_.contains(fd);
+  return engine_.find(ctx->conn) != nullptr;
 }
 
 void SvcServer::complete(const std::shared_ptr<RequestCtx>& ctx,
@@ -178,17 +123,16 @@ void SvcServer::complete(const std::shared_ptr<RequestCtx>& ctx,
   server->latency_us_.record(
       static_cast<double>(server->loop_.now() - ctx->start));
   server->count_response(resp);
-  const auto it = server->connections_.find(ctx->fd);
-  if (it == server->connections_.end() || it->second.gen != ctx->gen) {
+  Conn* conn = server->engine_.find(ctx->conn);
+  if (conn == nullptr) {
     ++server->stats_.responses_orphaned;
     return;
   }
-  Conn& conn = it->second;
-  EVS_CHECK(conn.inflight > 0);
-  --conn.inflight;
-  if (!server->queue_response(ctx->fd, conn, ctx->request_id, resp)) return;
-  conn.replies.push_back({conn.out.size(), server->loop_.now(), ctx->trace,
-                          ctx->request_id, resp.status});
+  EVS_CHECK(conn->extra.inflight > 0);
+  --conn->extra.inflight;
+  if (!server->queue_response(*conn, ctx->request_id, resp)) return;
+  conn->extra.replies.push_back({conn->out.size(), server->loop_.now(),
+                                 ctx->trace, ctx->request_id, resp.status});
 }
 
 void SvcServer::count_response(const SvcResponse& resp) {
@@ -202,51 +146,18 @@ void SvcServer::count_response(const SvcResponse& resp) {
   }
 }
 
-bool SvcServer::queue_response(int fd, Conn& conn, std::uint64_t request_id,
+bool SvcServer::queue_response(Conn& conn, std::uint64_t request_id,
                                const SvcResponse& resp) {
   append_frame(conn.out, encode_response(request_id, resp));
-  if (conn.out.size() > config_.max_out_bytes) {
-    // The client is not reading its responses; buffering without bound
-    // would let one slow consumer eat the node's memory.
-    ++stats_.slow_consumer_closed;
-    close_connection(fd);
-    return false;
-  }
-  // A connection under write interest waits for on_writable instead: its
-  // socket is full, and a write now would only return EAGAIN.
-  if (!conn.want_write) mark_dirty(fd, conn);
-  return true;
+  return engine_.queued(conn);
 }
 
-void SvcServer::mark_dirty(int fd, Conn& conn) {
-  if (conn.dirty) return;
-  conn.dirty = true;
-  dirty_.push_back(fd);
-}
-
-void SvcServer::flush_replies() {
-  for (const int fd : dirty_) {
-    const auto it = connections_.find(fd);
-    if (it == connections_.end() || !it->second.dirty) continue;
-    it->second.dirty = false;
-    write_out(fd, it->second);
-  }
-  dirty_.clear();
-}
-
-void SvcServer::write_out(int fd, Conn& conn) {
-  ++stats_.send_calls;
-  const ssize_t n =
-      ::send(fd, conn.out.data(), conn.out.size(), MSG_NOSIGNAL);
-  if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
-    close_connection(fd);  // broken pipe etc.
-    return;
-  }
-  const std::size_t sent = n > 0 ? static_cast<std::size_t>(n) : 0;
+void SvcServer::on_sent(Conn& conn, std::size_t sent) {
   const SimTime now = loop_.now();
+  std::vector<QueuedReply>& replies = conn.extra.replies;
   std::size_t done = 0;
-  for (; done < conn.replies.size() && conn.replies[done].end <= sent; ++done) {
-    const QueuedReply& reply = conn.replies[done];
+  for (; done < replies.size() && replies[done].end <= sent; ++done) {
+    const QueuedReply& reply = replies[done];
     reply_us_.record(static_cast<double>(now - reply.completed));
     if (reply.trace != 0 && trace_ != nullptr && trace_->enabled()) {
       trace_->record({now, self_, obs::EventKind::RequestReplied, {}, {},
@@ -254,73 +165,36 @@ void SvcServer::write_out(int fd, Conn& conn) {
                       reply.request_id});
     }
   }
-  conn.replies.erase(conn.replies.begin(),
-                     conn.replies.begin() + static_cast<std::ptrdiff_t>(done));
-  for (QueuedReply& reply : conn.replies) reply.end -= sent;
-  // Keep only the unsent tail, so `out` is bounded by max_out_bytes even
-  // for a client that reads steadily but never catches up.
-  conn.out.erase(0, sent);
-  // A short write means the socket buffer is full: finish under write
-  // interest instead of retrying into EAGAIN.
-  const bool blocked = !conn.out.empty();
-  if (blocked != conn.want_write) {
-    conn.want_write = blocked;
-    loop_.set_writable(fd, blocked ? std::function<void()>(
-                                         [this, fd]() { on_writable(fd); })
-                                   : std::function<void()>());
-  }
-}
-
-void SvcServer::on_writable(int fd) {
-  // Only mark it: replies completed earlier in this iteration may sit in
-  // `out` behind the backlog, and must wait for the Durable stage.
-  const auto it = connections_.find(fd);
-  if (it != connections_.end()) mark_dirty(fd, it->second);
-}
-
-void SvcServer::close_connection(int fd) {
-  loop_.remove_fd(fd);
-  ::close(fd);
-  // In-flight completions for this connection find a missing fd (or a
-  // different generation after reuse) and count responses_orphaned.
-  connections_.erase(fd);
-}
-
-std::size_t SvcServer::out_buffered_bytes() const {
-  std::size_t bytes = 0;
-  for (const auto& [fd, conn] : connections_) bytes += conn.out.size();
-  return bytes;
+  replies.erase(replies.begin(),
+                replies.begin() + static_cast<std::ptrdiff_t>(done));
+  for (QueuedReply& reply : replies) reply.end -= sent;
 }
 
 void SvcServer::export_metrics(obs::MetricsRegistry& registry,
                                const std::string& prefix) const {
-  registry.counter(prefix + ".connections_accepted")
-      .set(stats_.connections_accepted);
-  registry.counter(prefix + ".connections_shed").set(stats_.connections_shed);
-  registry.counter(prefix + ".dropped_malformed").set(stats_.dropped_malformed);
-  registry.counter(prefix + ".requests_ok").set(stats_.requests_ok);
-  registry.counter(prefix + ".requests_conflict").set(stats_.requests_conflict);
-  registry.counter(prefix + ".requests_stale_epoch")
-      .set(stats_.requests_stale_epoch);
-  registry.counter(prefix + ".requests_unavailable")
-      .set(stats_.requests_unavailable);
-  registry.counter(prefix + ".requests_unsupported")
-      .set(stats_.requests_unsupported);
-  registry.counter(prefix + ".requests_not_leader")
-      .set(stats_.requests_not_leader);
-  registry.counter(prefix + ".requests_shed").set(stats_.requests_shed);
-  registry.counter(prefix + ".requests_timed_out")
-      .set(stats_.requests_timed_out);
-  registry.counter(prefix + ".responses_orphaned")
-      .set(stats_.responses_orphaned);
-  registry.counter(prefix + ".slow_consumer_closed")
-      .set(stats_.slow_consumer_closed);
-  registry.counter(prefix + ".send_calls").set(stats_.send_calls);
-  registry.counter(prefix + ".read_calls").set(stats_.read_calls);
+  const SvcStats s = stats();
+  for (const auto& [name, value] : {
+           std::pair{"connections_accepted", s.connections_accepted},
+           {"connections_shed", s.connections_shed},
+           {"dropped_malformed", s.dropped_malformed},
+           {"requests_ok", s.requests_ok},
+           {"requests_conflict", s.requests_conflict},
+           {"requests_stale_epoch", s.requests_stale_epoch},
+           {"requests_unavailable", s.requests_unavailable},
+           {"requests_unsupported", s.requests_unsupported},
+           {"requests_not_leader", s.requests_not_leader},
+           {"requests_shed", s.requests_shed},
+           {"requests_timed_out", s.requests_timed_out},
+           {"responses_orphaned", s.responses_orphaned},
+           {"slow_consumer_closed", s.slow_consumer_closed},
+           {"send_calls", s.send_calls},
+           {"read_calls", s.read_calls},
+       })
+    registry.counter(prefix + "." + name).set(value);
   registry.gauge(prefix + ".out_buffered_bytes")
       .set(static_cast<double>(out_buffered_bytes()));
   registry.gauge(prefix + ".connections")
-      .set(static_cast<double>(connections_.size()));
+      .set(static_cast<double>(connections()));
   registry.gauge(prefix + ".pending").set(static_cast<double>(pending_));
   registry.histogram(prefix + ".admit_us") = admit_us_;
   registry.histogram(prefix + ".latency_us") = latency_us_;

@@ -2,16 +2,15 @@
 //
 // One SvcServer per node serves the external-client request/response
 // protocol (svc/protocol.hpp) on a TCP listen socket, driven entirely by
-// the node's existing epoll EventLoop — no threads, same single-loop
-// discipline as the admin plane, sharing its accept/cap/shed skeleton
-// (net/tcp_listener.hpp). Connections are persistent and requests may be
-// pipelined; responses carry the client's request_id, so they complete in
-// any order.
+// the node's existing epoll EventLoop — no threads, on the node's one TCP
+// connection engine (net/tcp_server.hpp), which the admin plane shares.
+// Connections are persistent and requests may be pipelined; responses
+// carry the client's request_id, so they complete in any order.
 //
 // Admission control and backpressure are first-class, not best-effort:
 //
 //   * connection cap         — accepts past max_connections are shed at
-//                              the listener (closed immediately);
+//                              the engine (closed immediately);
 //   * per-connection cap     — more than max_inflight_per_conn
 //                              unanswered requests on one connection get
 //                              Unavailable{retry_after_ms} without ever
@@ -34,35 +33,34 @@
 // so /metrics shows exactly how the front door is treating clients.
 //
 // Replies are written once per connection per loop iteration. A
-// completion only appends its frame to the connection's out buffer and
-// marks the connection dirty; the server's Reply-stage flush hook then
-// hands each dirty connection's bytes to the kernel in one send(2).
-// That stage runs after the store's group commit (Durable) and before the
-// transport's datagrams (Wire) — see net::EventLoop::FlushStage — so a
-// reply never leaves ahead of the sync that makes its write durable, and
-// never queues behind the multicast batch. Pipelined completions of one
-// iteration leave as one segment, so the listener's TCP_NODELAY adds no
-// syscalls or packets; it only stops Nagle from holding a reply until
-// the client's delayed ACK.
+// completion only appends its frame to the connection's out buffer; the
+// engine's Reply-stage flush hook then hands each dirty connection's bytes
+// to the kernel in one send(2). That stage runs after the store's group
+// commit (Durable) and before the transport's datagrams (Wire) — see
+// net::EventLoop::FlushStage — so a reply never leaves ahead of the sync
+// that makes its write durable, and never queues behind the multicast
+// batch. Pipelined completions of one iteration leave as one segment, so
+// the engine's TCP_NODELAY adds no syscalls or packets; it only stops
+// Nagle from holding a reply until the client's delayed ACK. The engine
+// reports how many bytes each write took, which is when a reply is timed
+// (reply_us) and traced (RequestReplied).
 //
 // Requests are routed to the hosted node through a Handler wired to
 // runtime::Node::svc_request. The handler's respond callback may fire
 // synchronously (reads, rejections) or later (ordered writes); a
 // completion that outlives its connection is counted responses_orphaned
-// and dropped. Connection slots are generation-stamped so a completion
-// can never write into an unrelated client that reused the fd number.
+// and dropped.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/time.hpp"
 #include "net/event_loop.hpp"
-#include "net/tcp_listener.hpp"
+#include "net/tcp_server.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/svc.hpp"
@@ -77,8 +75,6 @@ struct SvcServerConfig {
   std::size_t max_inflight_per_conn = 64;
   /// Unanswered requests allowed across all connections before shedding.
   std::size_t max_pending = 4096;
-  /// Largest accepted frame body; larger prefixes drop the connection.
-  std::size_t max_frame_bytes = kMaxFrameBytes;
   /// Unread response backlog per connection before the slow consumer is
   /// closed.
   std::size_t max_out_bytes = 4 * 1024 * 1024;
@@ -125,7 +121,7 @@ class SvcServer {
   SvcServer(const SvcServer&) = delete;
   SvcServer& operator=(const SvcServer&) = delete;
 
-  std::uint16_t bound_port() const { return listener_.bound_port(); }
+  std::uint16_t bound_port() const { return engine_.bound_port(); }
 
   void set_handler(Handler handler) { handler_ = std::move(handler); }
 
@@ -140,14 +136,17 @@ class SvcServer {
     self_ = self;
   }
 
-  const SvcStats& stats() const { return stats_; }
+  /// The server's counters, connection and syscall counts included.
+  SvcStats stats() const;
   const SvcServerConfig& config() const { return config_; }
-  std::size_t connections() const { return connections_.size(); }
+  std::size_t connections() const { return engine_.size(); }
   /// Requests currently awaiting a node response.
   std::size_t pending() const { return pending_; }
   /// Reply bytes held across all connections, not yet taken by the kernel
   /// (the svc.out_buffered_bytes gauge).
-  std::size_t out_buffered_bytes() const;
+  std::size_t out_buffered_bytes() const {
+    return engine_.out_buffered_bytes();
+  }
 
   void export_metrics(obs::MetricsRegistry& registry,
                       const std::string& prefix = "svc") const;
@@ -163,15 +162,13 @@ class SvcServer {
     runtime::SvcStatus status = runtime::SvcStatus::Ok;
   };
 
-  struct Conn {
-    std::string in;   // unparsed request bytes
-    std::string out;  // reply bytes the kernel has not taken yet
+  /// The server's share of a connection slot.
+  struct ConnState {
     std::vector<QueuedReply> replies;  // answered frames in `out`, in order
     std::size_t inflight = 0;
-    std::uint64_t gen = 0;  // guards completions against fd reuse
-    bool dirty = false;     // listed in dirty_ for the next reply flush
-    bool want_write = false;
   };
+  using Engine = net::TcpServer<ConnState>;
+  using Conn = Engine::Conn;
 
   /// One in-flight request's identity, shared with the respond closure and
   /// the timeout timer. `alive` mirrors the server's lifetime so a
@@ -179,8 +176,7 @@ class SvcServer {
   struct RequestCtx {
     SvcServer* server = nullptr;
     std::shared_ptr<bool> alive;
-    int fd = -1;
-    std::uint64_t gen = 0;
+    Engine::Handle conn;
     std::uint64_t request_id = 0;
     /// Effective trace context of the request (0 = untraced).
     std::uint64_t trace = 0;
@@ -189,39 +185,29 @@ class SvcServer {
     bool done = false;
   };
 
-  void on_connection(int fd);
-  void on_readable(int fd);
-  void on_writable(int fd);
-  void close_connection(int fd);
+  /// Parses and dispatches every complete frame of one read pass.
+  /// `arrival` is when the pass started — the origin of the
+  /// admission-wait histogram.
+  void on_data(Conn& conn, SimTime arrival);
   /// Admits + dispatches one decoded request; returns false when the
   /// connection was closed underneath (stop parsing its buffer).
-  /// `arrival` is when the socket pass that produced the frame started —
-  /// the origin of the admission-wait histogram.
-  bool dispatch(int fd, std::uint64_t request_id, runtime::SvcRequest req,
+  bool dispatch(Conn& conn, std::uint64_t request_id, runtime::SvcRequest req,
                 SimTime arrival);
   static void complete(const std::shared_ptr<RequestCtx>& ctx,
                        runtime::SvcResponse resp, bool timed_out);
   void count_response(const runtime::SvcResponse& resp);
-  /// Appends one response frame to `conn.out` and marks the connection
-  /// dirty; nothing is written here. Returns false when the backlog
-  /// passed max_out_bytes and the slow consumer was closed.
-  bool queue_response(int fd, Conn& conn, std::uint64_t request_id,
+  /// Appends one response frame to `conn.out` for the next reply flush.
+  /// Returns false when the backlog passed max_out_bytes and the engine
+  /// closed the slow consumer.
+  bool queue_response(Conn& conn, std::uint64_t request_id,
                       const runtime::SvcResponse& resp);
-  void mark_dirty(int fd, Conn& conn);
-  /// The Reply-stage flush hook: one write per dirty connection.
-  void flush_replies();
-  /// One send(2) of `conn.out`: keeps the unsent tail, records the
-  /// replies it completed, and arms EPOLLOUT iff the socket is full.
-  void write_out(int fd, Conn& conn);
+  /// One write took `sent` bytes of `conn.out`: times and traces the
+  /// replies it completed.
+  void on_sent(Conn& conn, std::size_t sent);
 
   net::EventLoop& loop_;
   SvcServerConfig config_;
   Handler handler_;
-  std::map<int, Conn> connections_;
-  /// Connections with bytes to write at the next reply flush; an fd that
-  /// closed (or was reused by a clean connection) since is skipped.
-  std::vector<int> dirty_;
-  std::uint64_t next_conn_gen_ = 1;
   std::size_t pending_ = 0;
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 
@@ -236,9 +222,8 @@ class SvcServer {
   obs::Histogram reply_us_;
   obs::TraceBus* trace_ = nullptr;
   ProcessId self_{};
-  net::EventLoop::FlushHookId flush_hook_ = 0;
 
-  net::TcpListener listener_;  // last: accepts may fire once registered
+  Engine engine_;  // last: destroyed first, closing every connection
 };
 
 }  // namespace evs::svc

@@ -5,11 +5,15 @@
 // malformed request lines, oversized requests, partial requests whose
 // client vanishes, and the connection cap — all driven through real
 // loopback sockets against the server's own epoll loop, single-threaded.
+// Responses larger than the socket buffers are checked against slow and
+// vanishing readers too.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <fcntl.h>
+#include <linux/sockios.h>
 #include <netinet/in.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -447,6 +451,155 @@ TEST(AdminServer, ExportMetricsPublishesItsOwnCounters) {
   EXPECT_NE(json.find("\"admin.dropped_unauthorized\":0"), std::string::npos);
   EXPECT_NE(json.find("\"admin.commands_ok\":0"), std::string::npos);
   EXPECT_NE(json.find("\"admin.commands_rejected\":0"), std::string::npos);
+}
+
+/// The server's end of `client_fd`'s loopback connection: in this process,
+/// the socket whose peer address is the client's local one.
+int accepted_end(int client_fd) {
+  sockaddr_in local{};
+  socklen_t len = sizeof(local);
+  if (::getsockname(client_fd, reinterpret_cast<sockaddr*>(&local), &len) != 0)
+    return -1;
+  for (int fd = 3; fd < 1024; ++fd) {
+    if (fd == client_fd) continue;
+    sockaddr_in peer{};
+    socklen_t peer_len = sizeof(peer);
+    if (::getpeername(fd, reinterpret_cast<sockaddr*>(&peer), &peer_len) ==
+            0 &&
+        peer_len == sizeof(peer) && peer.sin_port == local.sin_port &&
+        peer.sin_addr.s_addr == local.sin_addr.s_addr)
+      return fd;
+  }
+  return -1;
+}
+
+/// A /trace response far larger than the socket buffers below.
+void record_trace_events(obs::TraceBus& bus, std::uint64_t count) {
+  for (std::uint64_t i = 0; i < count; ++i)
+    bus.record({static_cast<SimTime>(i),
+                ProcessId{SiteId{0}, 1},
+                obs::EventKind::MessageSent,
+                {},
+                ProcessId{SiteId{0}, 1},
+                i});
+}
+
+/// Connects a client with a 4 KB receive window, shrinks the server end's
+/// send buffer to 4 KB, and sends `request` without reading: the server
+/// can hand the kernel only the head of a large response, and keeps the
+/// tail. Returns the client fd; `server_fd` is the accepted end.
+int stalled_request(EventLoop& loop, std::uint16_t port,
+                    const std::string& request, int& server_fd) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  const int small = 4096;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &small, sizeof(small));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  ::fcntl(fd, F_SETFL, O_NONBLOCK);
+  server_fd = -1;
+  for (int i = 0; i < 100 && server_fd < 0; ++i) {
+    loop.run_for(kMillisecond);
+    server_fd = accepted_end(fd);
+  }
+  EXPECT_GE(server_fd, 0);
+  ::setsockopt(server_fd, SOL_SOCKET, SO_SNDBUF, &small, sizeof(small));
+  EXPECT_EQ(::send(fd, request.data(), request.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(request.size()));
+  for (int i = 0; i < 50; ++i) loop.run_for(kMillisecond);
+  return fd;
+}
+
+/// Bytes of the response sitting in either kernel's queue.
+std::size_t queued_in_kernels(int client_fd, int server_fd) {
+  int inq = 0;
+  int outq = 0;
+  ::ioctl(client_fd, SIOCINQ, &inq);
+  ::ioctl(server_fd, SIOCOUTQ, &outq);
+  return static_cast<std::size_t>(inq) + static_cast<std::size_t>(outq);
+}
+
+TEST(AdminServer, SlowReaderReceivesAPartiallyWrittenResponseWhole) {
+  EventLoop loop;
+  AdminServer server(loop, kLoopbackIp, 0);
+  obs::TraceBus bus;
+  bus.set_enabled(true);
+  server.set_trace(&bus);
+  record_trace_events(bus, 3000);
+  const std::string request = "GET /trace?since=0 HTTP/1.0\r\n\r\n";
+  // The reference copy, read by a client that keeps up.
+  const std::string expected = roundtrip(loop, server.bound_port(), request);
+  const std::size_t header_end = expected.find("\r\n\r\n");
+  ASSERT_NE(header_end, std::string::npos) << expected.substr(0, 200);
+  const std::size_t body_size = expected.size() - header_end - 4;
+  ASSERT_NE(expected.find("Content-Length: " + std::to_string(body_size) +
+                          "\r\n"),
+            std::string::npos);
+  ASSERT_GT(expected.size(), 64u * 1024);
+
+  int server_fd = -1;
+  const int fd = stalled_request(loop, server.bound_port(), request, server_fd);
+  ASSERT_GE(server_fd, 0);
+  // Nothing read yet: the kernels hold only the head, the server the rest.
+  EXPECT_LT(queued_in_kernels(fd, server_fd), expected.size());
+
+  std::string got;
+  bool closed = false;
+  char buf[4096];
+  for (int i = 0; i < 20000 && !closed; ++i) {
+    loop.run_for(200);
+    for (;;) {
+      const ssize_t n = ::read(fd, buf, sizeof(buf));
+      if (n > 0) {
+        got.append(buf, static_cast<std::size_t>(n));
+        continue;
+      }
+      closed = n == 0;
+      break;
+    }
+  }
+  EXPECT_TRUE(closed) << "the server did not close after the response";
+  EXPECT_EQ(got.size(), expected.size());
+  EXPECT_TRUE(got == expected) << "the response arrived altered";
+  EXPECT_EQ(server.stats().requests_ok, 2u);
+  ::close(fd);
+}
+
+TEST(AdminServer, PeerThatResetsMidResponseIsClosedNotRetried) {
+  EventLoop loop;
+  AdminServer server(loop, kLoopbackIp, 0);
+  obs::TraceBus bus;
+  bus.set_enabled(true);
+  server.set_trace(&bus);
+  record_trace_events(bus, 3000);
+  int server_fd = -1;
+  const int fd = stalled_request(loop, server.bound_port(),
+                                 "GET /trace?since=0 HTTP/1.0\r\n\r\n",
+                                 server_fd);
+  ASSERT_GE(server_fd, 0);
+  // The response is under way, its tail still held by the server.
+  int inq = 0;
+  ::ioctl(fd, SIOCINQ, &inq);
+  ASSERT_GT(inq, 0);
+  EXPECT_LT(queued_in_kernels(fd, server_fd), 64u * 1024);
+  // Reset: close with a zero linger time sends RST, not FIN.
+  const linger reset{1, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &reset, sizeof(reset));
+  ::close(fd);
+  // A writer that retried the dead socket would fire on every pass.
+  std::size_t fired = 0;
+  for (int i = 0; i < 50; ++i) fired += loop.run_for(kMillisecond);
+  EXPECT_LT(fired, 10u) << "the reset connection kept the loop busy";
+  // The server closed its end (no socket was opened since, so the number
+  // cannot have been reused)...
+  EXPECT_EQ(::fcntl(server_fd, F_GETFD), -1);
+  // ...and serves the next client.
+  const std::string r =
+      roundtrip(loop, server.bound_port(), "GET /nope HTTP/1.0\r\n\r\n");
+  EXPECT_NE(r.find("HTTP/1.0 404"), std::string::npos) << r;
 }
 
 TEST(AdminCommandCode, IsStablePerCommand) {

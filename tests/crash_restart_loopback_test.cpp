@@ -130,29 +130,24 @@ int main(int argc, char** argv) {
   if (::mkdtemp(dir_template) == nullptr) die("mkdtemp() failed");
   const std::string dir = dir_template;
 
-  std::uint16_t ports[kNodes];
-  std::uint16_t admin_ports[kNodes];
-  std::uint16_t svc_ports[kNodes];
+  std::vector<std::uint16_t> ports(kNodes);
+  std::uint16_t admin_ports[kNodes] = {};
+  std::uint16_t svc_ports[kNodes] = {};
   for (auto& p : ports) p = free_port();
-  for (auto& p : admin_ports) p = free_port();
-  for (auto& p : svc_ports) p = free_port();
 
+  // The whole point of this test: every node persists through a WAL store
+  // and restarts from it. A restarted node binds fresh admin and svc
+  // ports, which are read again from its output.
   std::vector<std::string> config_paths;
   for (int i = 0; i < kNodes; ++i) {
-    const std::string path = dir + "/node" + std::to_string(i) + ".conf";
-    std::ofstream os(path);
-    os << "self " << i << "\n";
-    for (int j = 0; j < kNodes; ++j)
-      os << "peer " << j << " 127.0.0.1:" << ports[j] << "\n";
-    for (int j = 0; j < kNodes; ++j)
-      os << "admin " << j << " 127.0.0.1:" << admin_ports[j] << "\n";
-    for (int j = 0; j < kNodes; ++j)
-      os << "svc " << j << " 127.0.0.1:" << svc_ports[j] << "\n";
-    // The whole point of this test: every node persists through a WAL
-    // store and restarts from it.
-    os << "store " << dir << "/store" << i << "\n";
-    config_paths.push_back(path);
+    config_paths.push_back(dir + "/node" + std::to_string(i) + ".conf");
+    write_config(config_paths.back(), i, ports, {{i, 0}}, {{i, 0}},
+                 "store " + dir + "/store" + std::to_string(i) + "\n");
   }
+  const auto read_ports = [&](std::vector<Child>& children, int i) {
+    admin_ports[i] = await_port(children, i, "admin");
+    svc_ports[i] = await_port(children, i, "svc");
+  };
 
   if (const char* artifacts = std::getenv("EVS_LOOPBACK_ARTIFACTS")) {
     const std::string out_dir = artifacts;
@@ -197,6 +192,7 @@ int main(int argc, char** argv) {
     dump_outputs(children);
     die("nodes never converged to the 3-view as incarnation 1");
   }
+  for (int i = 0; i < kNodes; ++i) read_ports(children, i);
   std::fprintf(stderr, "ok: 3-view installed, all incarnation=1\n");
 
   SvcClient client0(svc_ports[0]);
@@ -241,6 +237,8 @@ int main(int argc, char** argv) {
     dump_outputs(children);
     die("fast-restarted node 1 did not bump to incarnation=2");
   }
+  read_ports(children, 1);
+  client1.set_port(svc_ports[1]);
   if (!await(children, 60000, [&]() {
         for (int i = 0; i < kNodes; ++i) {
           const std::size_t from = i == 1 ? 0 : fast_offset[i];
@@ -303,6 +301,8 @@ int main(int argc, char** argv) {
     dump_outputs(children);
     die("restarted node 2 did not bump to incarnation=2");
   }
+  read_ports(children, 2);
+  client2.set_port(svc_ports[2]);
   if (!await(children, 60000, [&]() {
         if (!contains_after(children[2].out, 0, full_view)) return false;
         for (int i = 0; i < 2; ++i)

@@ -155,22 +155,17 @@ int main(int argc, char** argv) {
   if (::mkdtemp(dir_template) == nullptr) die("mkdtemp() failed");
   const std::string dir = dir_template;
 
-  std::uint16_t ports[kNodes];
-  std::uint16_t svc_ports[kNodes];
+  std::vector<std::uint16_t> ports(kNodes);
+  std::uint16_t svc_ports[kNodes] = {};
   for (auto& p : ports) p = free_port();
-  for (auto& p : svc_ports) p = free_port();
 
+  std::string groups;
+  for (int g = 1; g <= kShards; ++g)
+    groups += "group " + std::to_string(g) + " log\n";
   std::vector<std::string> config_paths;
   for (int i = 0; i < kNodes; ++i) {
-    const std::string path = dir + "/node" + std::to_string(i) + ".conf";
-    std::ofstream os(path);
-    os << "self " << i << "\n";
-    for (int j = 0; j < kNodes; ++j)
-      os << "peer " << j << " 127.0.0.1:" << ports[j] << "\n";
-    for (int j = 0; j < kNodes; ++j)
-      os << "svc " << j << " 127.0.0.1:" << svc_ports[j] << "\n";
-    for (int g = 1; g <= kShards; ++g) os << "group " << g << " log\n";
-    config_paths.push_back(path);
+    config_paths.push_back(dir + "/node" + std::to_string(i) + ".conf");
+    write_config(config_paths.back(), i, ports, {}, {{i, 0}}, groups);
   }
 
   std::vector<Child> children;
@@ -194,6 +189,7 @@ int main(int argc, char** argv) {
         return true;
       }))
     die("nodes never hosted 4 groups and converged to four 3-views");
+  for (int i = 0; i < kNodes; ++i) svc_ports[i] = await_port(children, i, "svc");
   std::fprintf(stderr, "ok: 3 nodes x 4 log-shard groups, all views full\n");
 
   // All groups share one universe, so deterministic election gives them

@@ -80,22 +80,15 @@ int main(int argc, char** argv) {
   if (::mkdtemp(dir_template) == nullptr) die("mkdtemp() failed");
   const std::string dir = dir_template;
 
-  std::uint16_t ports[kNodes];
-  std::uint16_t admin_ports[kNodes];
+  std::vector<std::uint16_t> ports(kNodes);
+  std::uint16_t admin_ports[kNodes] = {};
   for (auto& p : ports) p = free_port();
-  for (auto& p : admin_ports) p = free_port();
 
   std::vector<std::string> config_paths;
   for (int i = 0; i < kNodes; ++i) {
-    const std::string path = dir + "/node" + std::to_string(i) + ".conf";
-    std::ofstream os(path);
-    os << "self " << i << "\n";
-    for (int j = 0; j < kNodes; ++j)
-      os << "peer " << j << " 127.0.0.1:" << ports[j] << "\n";
-    for (int j = 0; j < kNodes; ++j)
-      os << "admin " << j << " 127.0.0.1:" << admin_ports[j] << "\n";
-    os << "admin_token looptoken\n";
-    config_paths.push_back(path);
+    config_paths.push_back(dir + "/node" + std::to_string(i) + ".conf");
+    write_config(config_paths.back(), i, ports, {{i, 0}}, {},
+                 "admin_token looptoken\n");
   }
 
   std::vector<Child> children;
@@ -116,6 +109,14 @@ int main(int argc, char** argv) {
     dump_outputs(children);
     die("nodes never converged to the common 3-view");
   }
+  // The fleet tools find every node's admin plane through one config,
+  // written once the nodes have printed the ports they bound.
+  std::map<int, std::uint16_t> fleet_admin;
+  for (int i = 0; i < kNodes; ++i)
+    fleet_admin[i] = admin_ports[i] = await_port(children, i, "admin");
+  const std::string fleet_config = dir + "/fleet.conf";
+  write_config(fleet_config, 0, ports, fleet_admin, {},
+               "admin_token looptoken\n");
   std::fprintf(stderr, "ok: common 3-view at every node\n");
 
   // 2. All 300 multicasts (100 per node) delivered everywhere, in the
@@ -175,7 +176,7 @@ int main(int argc, char** argv) {
                common_view.c_str());
 
   // ... and the fleet tool agrees the fleet is converged.
-  if (run_and_wait({evs_top, "--config", config_paths[0], "--once",
+  if (run_and_wait({evs_top, "--config", fleet_config, "--once",
                     "--expect-converged", "--timeout-ms", "5000"}) != 0)
     die("evs_top --once --expect-converged failed on a converged fleet");
   std::fprintf(stderr, "ok: evs_top sees a converged fleet\n");
@@ -246,7 +247,7 @@ int main(int argc, char** argv) {
 
   // The write side is token-guarded: a wrong token must be refused (401)
   // and counted, and must not merge anything.
-  if (run_and_wait({evs_ctl, "--config", config_paths[0], "--site", "0",
+  if (run_and_wait({evs_ctl, "--config", fleet_config, "--site", "0",
                     "--token", "wrong", "--timeout-ms", "2000",
                     "merge-all"}) == 0)
     die("evs_ctl with a wrong token was accepted");
@@ -263,7 +264,7 @@ int main(int argc, char** argv) {
   // node reports the merged, degenerate e-view.
   bool merged = false;
   for (int attempt = 0; attempt < 40 && !merged; ++attempt) {
-    run_and_wait({evs_ctl, "--config", config_paths[0], "--all",
+    run_and_wait({evs_ctl, "--config", fleet_config, "--all",
                   "--timeout-ms", "2000", "merge-all"});
     for (int i = 0; i < 4 && !merged; ++i) {
       drain(children, 100);
@@ -275,7 +276,7 @@ int main(int argc, char** argv) {
     dump_outputs(children);
     die("fleet never merged back to normal mode after evs_ctl merge-all");
   }
-  if (run_and_wait({evs_top, "--config", config_paths[0], "--once",
+  if (run_and_wait({evs_top, "--config", fleet_config, "--once",
                     "--expect-converged", "--timeout-ms", "5000"}) != 0)
     die("evs_top does not see the healed fleet as converged");
   {
@@ -365,6 +366,7 @@ int main(int argc, char** argv) {
     ::unlink(spans_chrome.c_str());
   }
   for (const std::string& path : config_paths) ::unlink(path.c_str());
+  ::unlink(fleet_config.c_str());
   ::rmdir(dir.c_str());
   std::printf("PASS\n");
   return 0;

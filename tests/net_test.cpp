@@ -169,6 +169,17 @@ TEST(NetConfig, ParsesAdminLines) {
   EXPECT_EQ(config.admin.at(SiteId{2}).port, 9102);
   ASSERT_TRUE(config.self_admin_addr().has_value());
   EXPECT_EQ(config.self_admin_addr()->port, 9101);
+
+  // Port 0: the node listens on an ephemeral port and prints it.
+  std::istringstream ephemeral(
+      "self 1\n"
+      "peer 0 127.0.0.1:9000\n"
+      "peer 1 127.0.0.1:9001\n"
+      "admin 1 127.0.0.1:0\n");
+  NodeConfig config0;
+  ASSERT_TRUE(net::parse_node_config(ephemeral, config0, error)) << error;
+  ASSERT_TRUE(config0.self_admin_addr().has_value());
+  EXPECT_EQ(config0.self_admin_addr()->port, 0);
 }
 
 TEST(NetConfig, AdminLinesAreOptional) {
@@ -218,6 +229,17 @@ TEST(NetConfig, ParsesSvcLines) {
   EXPECT_EQ(config.svc.at(SiteId{2}).port, 9202);
   ASSERT_TRUE(config.self_svc_addr().has_value());
   EXPECT_EQ(config.self_svc_addr()->port, 9201);
+
+  // Port 0: the node listens on an ephemeral port and prints it.
+  std::istringstream ephemeral(
+      "self 1\n"
+      "peer 0 127.0.0.1:9000\n"
+      "peer 1 127.0.0.1:9001\n"
+      "svc 1 127.0.0.1:0\n");
+  NodeConfig config0;
+  ASSERT_TRUE(net::parse_node_config(ephemeral, config0, error)) << error;
+  ASSERT_TRUE(config0.self_svc_addr().has_value());
+  EXPECT_EQ(config0.self_svc_addr()->port, 0);
 }
 
 TEST(NetConfig, SvcLinesAreOptional) {
@@ -261,6 +283,7 @@ TEST(NetConfig, RejectsMalformedFiles) {
       "self 0\npeer 0 127.0.0.1:9000\npeer 0 127.0.0.1:1\n",  // duplicate
       "self 0\nbogus line\npeer 0 127.0.0.1:9000\n",          // unknown keyword
       "self 0\npeer 0 127.0.0.1\npeer 1 127.0.0.1:1\n",       // bad address
+      "self 0\npeer 0 127.0.0.1:0\npeer 1 127.0.0.1:1\n",     // peers dial it
   };
   for (const char* text : bad) {
     std::istringstream in(text);

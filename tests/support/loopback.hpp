@@ -1,8 +1,14 @@
-// Shared scaffolding for the plain-main() loopback runners: spawning real
-// evs_node processes with their stdout piped back, pumping that output
-// until a predicate holds, reaping, running helper tools to completion,
-// scraping the admin plane, and a blocking svc client that dies loudly on
-// a hung request.
+// Shared scaffolding for the plain-main() loopback runners: writing node
+// configs, spawning real evs_node processes with their stdout piped back,
+// pumping that output until a predicate holds, reading the TCP ports the
+// nodes bound, reaping, running helper tools to completion, scraping the
+// admin plane, and a blocking svc client that dies loudly on a hung
+// request.
+//
+// Admin and svc listeners are configured on port 0 and the runners read
+// the ports the nodes print, so no other process can take them between a
+// probe and the bind. UDP peer ports still come from free_port(): every
+// node must know them before any starts, so that narrower race remains.
 //
 // die() is the one failure path: it runs the runner's on-fail hook (an
 // artifact scrape while the nodes are still up), then SIGKILLs and reaps
@@ -22,6 +28,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <functional>
 #include <map>
 #include <string>
@@ -63,6 +70,8 @@ inline void kill_children() {
   std::exit(1);
 }
 
+/// An unused UDP port, for peer lines: nothing holds it between this
+/// probe and the node's bind, so a concurrent socket may take it first.
 inline std::uint16_t free_port() {
   const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
   if (fd < 0) die("socket() failed");
@@ -77,6 +86,26 @@ inline std::uint16_t free_port() {
   const std::uint16_t port = ntohs(addr.sin_port);
   ::close(fd);
   return port;
+}
+
+/// Writes a config to `path`: `self`, one peer line per UDP port, an
+/// admin / svc line per (site, port) entry (port 0: the node listens on an
+/// ephemeral port and prints it), then the raw `extra` lines.
+inline void write_config(const std::string& path, int self,
+                         const std::vector<std::uint16_t>& peers,
+                         const std::map<int, std::uint16_t>& admin,
+                         const std::map<int, std::uint16_t>& svc,
+                         const std::string& extra = {}) {
+  std::ofstream os(path);
+  os << "self " << self << "\n";
+  for (std::size_t j = 0; j < peers.size(); ++j)
+    os << "peer " << j << " 127.0.0.1:" << peers[j] << "\n";
+  for (const auto& [site, port] : admin)
+    os << "admin " << site << " 127.0.0.1:" << port << "\n";
+  for (const auto& [site, port] : svc)
+    os << "svc " << site << " 127.0.0.1:" << port << "\n";
+  os << extra;
+  if (!os.flush()) die("cannot write " + path);
 }
 
 [[noreturn]] inline void exec_args(const std::vector<std::string>& args) {
@@ -156,6 +185,43 @@ inline bool contains_after(const std::string& text, std::size_t offset,
   return text.find(needle, offset) != std::string::npos;
 }
 
+inline void dump_outputs(const std::vector<Child>& children) {
+  for (int i = 0; i < static_cast<int>(children.size()); ++i)
+    std::fprintf(stderr, "--- node%d output ---\n%s\n", i,
+                 children[i].out.c_str());
+}
+
+/// The port on the `<plane> site=<n> port=<p>` line `child` printed (one
+/// per TCP listener evs_node bound: "admin" or "svc"); 0 until that line
+/// is complete.
+inline std::uint16_t printed_port(const Child& child,
+                                  const std::string& plane) {
+  const std::string& out = child.out;
+  const std::string needle = plane + " site=";
+  for (std::size_t at = out.find(needle); at != std::string::npos;
+       at = out.find(needle, at + 1)) {
+    if (at != 0 && out[at - 1] != '\n') continue;
+    const std::size_t eol = out.find('\n', at);
+    const std::size_t port = out.find(" port=", at);
+    if (eol == std::string::npos || port > eol) return 0;
+    return static_cast<std::uint16_t>(std::atoi(out.c_str() + port + 6));
+  }
+  return 0;
+}
+
+/// Pumps output until children[i] printed its `plane` port; returns it.
+inline std::uint16_t await_port(std::vector<Child>& children, int i,
+                                const std::string& plane) {
+  std::uint16_t port = 0;
+  if (!await(children, 30000, [&]() {
+        return (port = printed_port(children.at(i), plane)) != 0;
+      })) {
+    dump_outputs(children);
+    die("node" + std::to_string(i) + " never printed its " + plane + " port");
+  }
+  return port;
+}
+
 /// Waits for `child` to exit and collects the rest of its output.
 inline void reap(Child& child) {
   int status = 0;
@@ -173,12 +239,6 @@ inline void reap(Child& child) {
       child.out_fd = -1;
     }
   }
-}
-
-inline void dump_outputs(const std::vector<Child>& children) {
-  for (int i = 0; i < static_cast<int>(children.size()); ++i)
-    std::fprintf(stderr, "--- node%d output ---\n%s\n", i,
-                 children[i].out.c_str());
 }
 
 /// Runs `args` to completion; its exit code, or -1 if it did not exit.
@@ -237,6 +297,13 @@ class SvcClient {
  public:
   explicit SvcClient(std::uint16_t port) : port_(port) {}
   ~SvcClient() { close_fd(); }
+
+  /// Drops the connection; the next one goes to `port` (a respawned
+  /// node's listener).
+  void set_port(std::uint16_t port) {
+    close_fd();
+    port_ = port;
+  }
 
   /// One connect attempt; a freshly respawned node's svc listener may be
   /// a beat behind its up line, so callers may retry.

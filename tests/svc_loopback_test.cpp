@@ -117,26 +117,16 @@ int main(int argc, char** argv) {
   if (::mkdtemp(dir_template) == nullptr) die("mkdtemp() failed");
   const std::string dir = dir_template;
 
-  std::uint16_t ports[kNodes];
-  std::uint16_t admin_ports[kNodes];
-  std::uint16_t svc_ports[kNodes];
+  std::vector<std::uint16_t> ports(kNodes);
+  std::uint16_t admin_ports[kNodes] = {};
+  std::uint16_t svc_ports[kNodes] = {};
   for (auto& p : ports) p = free_port();
-  for (auto& p : admin_ports) p = free_port();
-  for (auto& p : svc_ports) p = free_port();
 
   std::vector<std::string> config_paths;
   for (int i = 0; i < kNodes; ++i) {
-    const std::string path = dir + "/node" + std::to_string(i) + ".conf";
-    std::ofstream os(path);
-    os << "self " << i << "\n";
-    for (int j = 0; j < kNodes; ++j)
-      os << "peer " << j << " 127.0.0.1:" << ports[j] << "\n";
-    for (int j = 0; j < kNodes; ++j)
-      os << "admin " << j << " 127.0.0.1:" << admin_ports[j] << "\n";
-    for (int j = 0; j < kNodes; ++j)
-      os << "svc " << j << " 127.0.0.1:" << svc_ports[j] << "\n";
-    os << "admin_token looptoken\n";
-    config_paths.push_back(path);
+    config_paths.push_back(dir + "/node" + std::to_string(i) + ".conf");
+    write_config(config_paths.back(), i, ports, {{i, 0}}, {{i, 0}},
+                 "admin_token looptoken\n");
   }
 
   if (const char* artifacts = std::getenv("EVS_LOOPBACK_ARTIFACTS")) {
@@ -174,6 +164,10 @@ int main(int argc, char** argv) {
       })) {
     dump_outputs(children);
     die("nodes never served svc and converged to the common 3-view");
+  }
+  for (int i = 0; i < kNodes; ++i) {
+    admin_ports[i] = await_port(children, i, "admin");
+    svc_ports[i] = await_port(children, i, "svc");
   }
   std::fprintf(stderr, "ok: 3-view installed, svc ports up\n");
 
