@@ -153,9 +153,9 @@ class GroupObjectBase : public core::EvsEndpoint, private core::EvsDelegate {
 
   /// Projects vsync + EVS + object stats (and mode occupancy/transition
   /// counts) into `registry` under `prefix` (hides, and calls, the
-  /// EvsEndpoint export).
-  void export_metrics(obs::MetricsRegistry& registry,
-                      const std::string& prefix) const;
+  /// EvsEndpoint export). Objects with metrics of their own extend it.
+  virtual void export_metrics(obs::MetricsRegistry& registry,
+                              const std::string& prefix) const;
 
   void on_start() override;
 

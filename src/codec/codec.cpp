@@ -116,6 +116,15 @@ std::string Decoder::get_string() {
   return s;
 }
 
+std::string_view Decoder::get_string_view() {
+  const std::uint64_t n = get_varint();
+  require(static_cast<std::size_t>(n));
+  const std::string_view s(reinterpret_cast<const char*>(data_ + pos_),
+                           static_cast<std::size_t>(n));
+  pos_ += static_cast<std::size_t>(n);
+  return s;
+}
+
 Bytes Decoder::get_bytes() {
   const std::uint64_t n = get_varint();
   require(static_cast<std::size_t>(n));

@@ -14,6 +14,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -79,6 +80,8 @@ class Decoder {
   std::uint64_t get_varint();
   bool get_bool();
   std::string get_string();
+  /// get_string without the copy: a view into the borrowed buffer.
+  std::string_view get_string_view();
   Bytes get_bytes();
 
   SiteId get_site();

@@ -70,12 +70,14 @@ void LogShard::svc_dispatch(SvcRequest req, SvcRespondFn respond) {
             config_.object.svc_retry_after_ms));
         return;
       }
-      const auto it = slots_.find(local);
-      if (it == slots_.end() || it->second.filled) {
+      const std::size_t index = local - trim_floor_;
+      if (records_.filled(index)) {
         respond(SvcResponse::ok(view_epoch(), "F"));
         return;
       }
-      respond(SvcResponse::ok(view_epoch(), "D" + it->second.data));
+      std::string value = "D";
+      value += records_.data(index);
+      respond(SvcResponse::ok(view_epoch(), std::move(value)));
       return;
     }
     case SvcOp::LogTail: {
@@ -176,7 +178,7 @@ void LogShard::on_object_deliver(ProcessId sender, const Bytes& payload) {
   Decoder dec(payload);
   switch (static_cast<OpKind>(dec.get_u8())) {
     case OpKind::Append:
-      apply_append(dec.get_string());
+      apply_append(dec.get_string_view());
       break;
     case OpKind::Seal:
       apply_seal(dec.get_varint());
@@ -190,13 +192,13 @@ void LogShard::on_object_deliver(ProcessId sender, const Bytes& payload) {
   }
 }
 
-void LogShard::apply_append(std::string record) {
+void LogShard::apply_append(std::string_view record) {
   // Position assignment and write are one step in the total order: every
   // replica assigns the same local position to the same multicast.
   // Appends ordered before a seal landed still apply after it — the
   // fence is at admission, the order stays deterministic.
   const std::uint64_t local = next_local_++;
-  slots_[local] = LogSlot{false, std::move(record)};
+  records_.push_back(record, false);
   last_assigned_local_ = local;
   ++version_;
 }
@@ -211,7 +213,7 @@ void LogShard::apply_fill(std::uint64_t local) {
   // practice; filling it densely keeps every position below the tail
   // occupied.
   for (std::uint64_t l = next_local_; l <= local; ++l)
-    slots_[l] = LogSlot{true, {}};
+    records_.push_back({}, true);
   next_local_ = local + 1;
   last_assigned_local_ = local;
   ++version_;
@@ -219,8 +221,9 @@ void LogShard::apply_fill(std::uint64_t local) {
 
 void LogShard::apply_trim(std::uint64_t local) {
   if (local > trim_floor_) {
-    trim_floor_ = std::min(local, next_local_);
-    slots_.erase(slots_.begin(), slots_.lower_bound(trim_floor_));
+    const std::uint64_t floor = std::min(local, next_local_);
+    records_.pop_front(floor - trim_floor_);
+    trim_floor_ = floor;
   }
   ++version_;
 }
@@ -236,49 +239,67 @@ Bytes LogShard::encode_state(const LogShard& s) {
   enc.put_varint(s.next_local_);
   enc.put_varint(s.trim_floor_);
   enc.put_varint(s.sealed_epoch_);
-  enc.put_varint(s.slots_.size());
-  for (const auto& [local, slot] : s.slots_) {
-    enc.put_varint(local);
-    enc.put_u8(slot.filled ? 1 : 0);
-    enc.put_string(slot.data);
-  }
+  enc.put_varint(s.records_.size());
+  std::uint64_t local = s.trim_floor_;
+  s.records_.for_each([&](bool filled, std::string_view data) {
+    enc.put_varint(local++);
+    enc.put_u8(filled ? 1 : 0);
+    enc.put_string(data);
+  });
   return std::move(enc).take();
 }
 
-void LogShard::decode_state(Decoder& dec) {
-  // Decode the whole snapshot into temporaries before committing: a
-  // truncated or bit-flipped snapshot throws DecodeError with the shard's
-  // state untouched (the settle engine counts the rejection); the old
-  // in-place decode left half-mutated protocol state behind the throw.
-  const std::uint64_t version = dec.get_varint();
-  const std::uint64_t next_local = dec.get_varint();
-  const std::uint64_t trim_floor = dec.get_varint();
-  const std::uint64_t sealed_epoch = dec.get_varint();
+namespace {
+
+/// A whole snapshot, decoded and checked before anything commits it.
+struct DecodedState {
+  std::uint64_t version = 0;
+  std::uint64_t next_local = 0;
+  std::uint64_t trim_floor = 0;
+  std::uint64_t sealed_epoch = 0;
+  RecordArena records;
+};
+
+/// The one snapshot decode: throws DecodeError on a truncated or
+/// bit-flipped snapshot, and on any slot list that is not exactly
+/// trim_floor … next_local−1 in order — the shard is dense by
+/// construction, so anything else is corruption, not a log.
+DecodedState decode_state(const Bytes& snapshot) {
+  Decoder dec(snapshot);
+  DecodedState s;
+  s.version = dec.get_varint();
+  s.next_local = dec.get_varint();
+  s.trim_floor = dec.get_varint();
+  s.sealed_epoch = dec.get_varint();
   const std::uint64_t n = dec.get_varint();
   // Every slot costs at least 3 encoded bytes; a length field larger than
   // the remaining payload can ever justify is corruption, not a big log.
   if (n > dec.remaining()) throw DecodeError("LogShard: slot count too large");
-  std::map<std::uint64_t, LogSlot> slots;
+  if (s.trim_floor > s.next_local || n != s.next_local - s.trim_floor)
+    throw DecodeError("LogShard: slots do not cover trim_floor..next_local");
   for (std::uint64_t i = 0; i < n; ++i) {
-    const std::uint64_t local = dec.get_varint();
-    LogSlot slot;
-    slot.filled = dec.get_u8() != 0;
-    slot.data = dec.get_string();
-    slots[local] = std::move(slot);
+    if (dec.get_varint() != s.trim_floor + i)
+      throw DecodeError("LogShard: slot out of place");
+    const bool filled = dec.get_u8() != 0;
+    s.records.push_back(dec.get_string_view(), filled);
   }
   dec.expect_end();
-  version_ = version;
-  next_local_ = next_local;
-  trim_floor_ = trim_floor;
-  sealed_epoch_ = sealed_epoch;
-  slots_ = std::move(slots);
+  return s;
 }
+
+}  // namespace
 
 Bytes LogShard::snapshot_state() const { return encode_state(*this); }
 
 void LogShard::install_state(const Bytes& snapshot) {
-  Decoder dec(snapshot);
-  decode_state(dec);
+  // Decode into a temporary first: a rejected snapshot leaves the shard
+  // untouched (the settle engine counts the rejection).
+  DecodedState s = decode_state(snapshot);
+  version_ = s.version;
+  next_local_ = s.next_local;
+  trim_floor_ = s.trim_floor;
+  sealed_epoch_ = s.sealed_epoch;
+  records_ = std::move(s.records);
 }
 
 Bytes LogShard::merge_cluster_states(const std::vector<Bytes>& snapshots) {
@@ -289,27 +310,15 @@ Bytes LogShard::merge_cluster_states(const std::vector<Bytes>& snapshots) {
   std::uint64_t best_tail = 0;
   std::uint64_t best_version = 0;
   for (const Bytes& snapshot : snapshots) {
-    // Validate the whole candidate, not just its header: a truncated or
-    // bit-flipped snapshot must fail the merge here (counted upstream),
-    // not win on a corrupt tail field and poison the install.
-    Decoder dec(snapshot);
-    const std::uint64_t version = dec.get_varint();
-    const std::uint64_t tail = dec.get_varint();
-    dec.get_varint();  // trim_floor
-    dec.get_varint();  // sealed_epoch
-    const std::uint64_t n = dec.get_varint();
-    if (n > dec.remaining()) throw DecodeError("LogShard: slot count too large");
-    for (std::uint64_t i = 0; i < n; ++i) {
-      dec.get_varint();
-      dec.get_u8();
-      dec.get_string();
-    }
-    dec.expect_end();
-    if (best == nullptr || tail > best_tail ||
-        (tail == best_tail && version > best_version)) {
+    // Validate the whole candidate, not just its header: a corrupt
+    // snapshot must fail the merge here (counted upstream), not win on a
+    // corrupt tail field and poison the install.
+    const DecodedState s = decode_state(snapshot);
+    if (best == nullptr || s.next_local > best_tail ||
+        (s.next_local == best_tail && s.version > best_version)) {
       best = &snapshot;
-      best_tail = tail;
-      best_version = version;
+      best_tail = s.next_local;
+      best_version = s.version;
     }
   }
   if (best == nullptr)
@@ -330,8 +339,15 @@ std::string LogShard::admin_status_json() const {
      << ",\"trim_floor\":" << trim_floor_
      << ",\"sealed_epoch\":" << sealed_epoch_
      << ",\"sealed\":" << (sealed() ? "true" : "false")
-     << ",\"records\":" << slots_.size() << "}}";
+     << ",\"records\":" << records_.size() << "}}";
   return os.str();
+}
+
+void LogShard::export_metrics(obs::MetricsRegistry& registry,
+                              const std::string& prefix) const {
+  app::GroupObjectBase::export_metrics(registry, prefix);
+  registry.gauge(prefix + ".log.record_bytes")
+      .set(static_cast<double>(records_.held_bytes()));
 }
 
 }  // namespace evs::log

@@ -38,10 +38,11 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
+#include <string_view>
 
 #include "app/group_object.hpp"
+#include "log/record_arena.hpp"
 
 namespace evs::log {
 
@@ -50,13 +51,6 @@ struct LogShardConfig {
   /// This shard's index and the shard count G of the sharded log.
   std::uint32_t shard_index = 0;
   std::uint32_t shard_count = 1;
-};
-
-/// One record slot. Data records carry bytes; filled slots are junk
-/// minted by fill(); trimmed slots are gone entirely (below trim_floor_).
-struct LogSlot {
-  bool filled = false;  // true: junk from fill(), data empty
-  std::string data;
 };
 
 class LogShard : public app::GroupObjectBase {
@@ -77,9 +71,13 @@ class LogShard : public app::GroupObjectBase {
   /// Sealed right now: appends refused until a view change outruns the
   /// sealed epoch.
   bool sealed() const { return view_epoch() <= sealed_epoch_; }
-  std::size_t records() const { return slots_.size(); }
+  std::size_t records() const { return records_.size(); }
 
   std::string admin_status_json() const override;
+  /// The object's metrics plus `<prefix>.log.record_bytes`, the bytes the
+  /// record arena holds.
+  void export_metrics(obs::MetricsRegistry& registry,
+                      const std::string& prefix) const override;
 
  protected:
   /// Majority partitions only: a log forked across partitions is no log.
@@ -107,17 +105,18 @@ class LogShard : public app::GroupObjectBase {
   bool is_coordinator() const;
   /// Applies one ordered op; returns the local position it assigned
   /// (Append/Fill) or 0.
-  void apply_append(std::string record);
+  void apply_append(std::string_view record);
   void apply_fill(std::uint64_t local);
   void apply_trim(std::uint64_t local);
   void apply_seal(std::uint64_t epoch);
 
   static Bytes encode_state(const LogShard& s);
-  void decode_state(Decoder& dec);
 
   LogShardConfig config_;
-  /// local position -> slot; keys in [trim_floor_, next_local_).
-  std::map<std::uint64_t, LogSlot> slots_;
+  /// Local positions [trim_floor_, next_local_), at index local −
+  /// trim_floor_. Data records carry bytes; filled ones are junk minted by
+  /// fill(); trimmed ones are gone.
+  RecordArena records_;
   std::uint64_t next_local_ = 0;   // next local position to assign
   std::uint64_t trim_floor_ = 0;   // local positions below are trimmed
   std::uint64_t sealed_epoch_ = 0;

@@ -56,6 +56,7 @@ void Endpoint::install_singleton() {
   max_number_seen_ += 1;
   view_.id = ViewId{max_number_seen_, id()};
   view_.members = {id()};
+  lanes_.assign(1, Lane{});
   ++stats_.views_installed;
   stats_.last_install_time = now();
   if (auto* bus = trace(); bus != nullptr && bus->enabled()) {
@@ -176,10 +177,7 @@ gms::Ack Endpoint::make_ack(gms::RoundId round) {
   ack.round = round;
   ack.prior_view = view_.id;
   ack.max_number_seen = max_number_seen_;
-  ack.unstable.reserve(buffer_.size());
-  for (const auto& [key, payload] : buffer_) {
-    ack.unstable.push_back(gms::FlushedMessage{key.first, key.second, payload});
-  }
+  ack.unstable = unstable();
   if (delegate_ != nullptr) ack.context = delegate_->flush_context();
   return ack;
 }
@@ -330,7 +328,12 @@ void Endpoint::handle_install(const gms::Install& msg) {
   for (const auto& [view_id, messages] : msg.unions) {
     if (view_id != view_.id) continue;
     for (const gms::FlushedMessage& fm : messages) {
-      if (already_delivered(fm.sender, fm.seq)) continue;
+      Lane* lane = lane_of(fm.sender);
+      if (lane == nullptr || fm.seq < lane->next_expected) continue;
+      // Out of FIFO order is fine here: the union is the agreed final set
+      // for the dying view. Moving the cursor past the message means a
+      // duplicate can never deliver twice.
+      lane->next_expected = fm.seq + 1;
       ++stats_.flush_deliveries;
       deliver(fm.sender, fm.seq, fm.payload);
     }
@@ -338,8 +341,9 @@ void Endpoint::handle_install(const gms::Install& msg) {
 
   view_ = msg.view;
   max_number_seen_ = std::max(max_number_seen_, view_.id.epoch);
-  buffer_.clear();
-  streams_.clear();
+  lanes_.assign(view_.size(), Lane{});
+  buffered_ = 0;
+  buffered_bytes_ = 0;
   stability_reports_.clear();
   send_seq_ = 0;
   acked_round_.reset();
@@ -395,27 +399,45 @@ void Endpoint::handle_data(ProcessId from, Decoder& dec) {
   ++stats_.messages_discarded;
 }
 
-void Endpoint::accept_data(ProcessId sender, gms::DataMsg msg) {
-  if (msg.view != view_.id) return;
-  PerSender& stream = streams_[sender];
-  if (msg.seq < stream.next_expected) return;  // duplicate
-  const auto key = std::make_pair(sender, msg.seq);
-  if (buffer_.contains(key)) return;  // duplicate
-  buffer_.emplace(key, msg.payload);
-  stats_.buffer_peak = std::max(stats_.buffer_peak, buffer_.size());
-  stream.pending.emplace(msg.seq, std::move(msg.payload));
-  if (!blocked()) try_deliver(sender);
+Endpoint::Lane* Endpoint::lane_of(ProcessId sender) {
+  const auto it =
+      std::lower_bound(view_.members.begin(), view_.members.end(), sender);
+  if (it == view_.members.end() || *it != sender) return nullptr;
+  return &lanes_[static_cast<std::size_t>(it - view_.members.begin())];
 }
 
-void Endpoint::try_deliver(ProcessId sender) {
-  PerSender& stream = streams_[sender];
+void Endpoint::accept_data(ProcessId sender, gms::DataMsg msg) {
+  if (msg.view != view_.id) return;
+  Lane* lane = lane_of(sender);
+  if (lane == nullptr) {  // not a member of this view
+    ++stats_.messages_discarded;
+    return;
+  }
+  if (msg.seq < lane->next_expected) return;  // duplicate
+  if (msg.seq - lane->next_expected >= kLaneSpan) {
+    // Holding it would mean allocating the whole gap before it.
+    ++stats_.messages_discarded;
+    return;
+  }
+  const std::uint64_t i = msg.seq - lane->base;
+  while (lane->slots.size() <= i) lane->slots.emplace_back();
+  if (lane->slots[i].has_value()) return;  // duplicate
+  ++buffered_;
+  buffered_bytes_ += msg.payload.size();
+  stats_.buffer_peak = std::max(stats_.buffer_peak, buffered_);
+  lane->slots[i] = std::move(msg.payload);
+  if (!blocked()) try_deliver(sender, *lane);
+}
+
+void Endpoint::try_deliver(ProcessId sender, Lane& lane) {
+  // Reads each message in place: it stays in the lane for the flush until
+  // stability GC pops it. A delegate may multicast from on_deliver, which
+  // re-enters here; the cursor is re-read on every pass.
   for (;;) {
-    const auto it = stream.pending.find(stream.next_expected);
-    if (it == stream.pending.end()) break;
-    Bytes payload = std::move(it->second);
-    stream.pending.erase(it);
-    const std::uint64_t seq = stream.next_expected;
-    ++stream.next_expected;
+    const std::uint64_t i = lane.next_expected - lane.base;
+    if (i >= lane.slots.size() || !lane.slots[i].has_value()) break;
+    const std::uint64_t seq = lane.next_expected++;
+    const Bytes& payload = *lane.slots[i];
     ++stats_.data_delivered;
     if (auto* bus = trace(); bus != nullptr && bus->enabled()) {
       bus->record({now(), id(), obs::EventKind::MessageDelivered,
@@ -426,12 +448,6 @@ void Endpoint::try_deliver(ProcessId sender) {
 }
 
 void Endpoint::deliver(ProcessId sender, std::uint64_t seq, const Bytes& payload) {
-  // Flush-path delivery: out-of-FIFO order is fine here, the union is the
-  // agreed final set for the dying view. Advance bookkeeping so a
-  // duplicate can never deliver twice.
-  PerSender& stream = streams_[sender];
-  stream.pending.erase(seq);
-  if (seq >= stream.next_expected) stream.next_expected = seq + 1;
   ++stats_.data_delivered;
   if (auto* bus = trace(); bus != nullptr && bus->enabled()) {
     // view_ is still the dying view here — flush deliveries belong to it.
@@ -441,11 +457,26 @@ void Endpoint::deliver(ProcessId sender, std::uint64_t seq, const Bytes& payload
   if (delegate_ != nullptr) delegate_->on_deliver(sender, payload);
 }
 
-bool Endpoint::already_delivered(ProcessId sender, std::uint64_t seq) const {
-  const auto it = streams_.find(sender);
-  if (it == streams_.end()) return false;
-  // Delivered = below the contiguous front and not waiting in pending.
-  return seq < it->second.next_expected && !it->second.pending.contains(seq);
+std::size_t Endpoint::undelivered() const {
+  std::size_t n = 0;
+  for (const Lane& lane : lanes_)
+    for (std::uint64_t i = lane.next_expected - lane.base;
+         i < lane.slots.size(); ++i)
+      if (lane.slots[i].has_value()) ++n;
+  return n;
+}
+
+std::vector<gms::FlushedMessage> Endpoint::unstable() const {
+  std::vector<gms::FlushedMessage> out;
+  out.reserve(buffered_);
+  for (std::size_t rank = 0; rank < lanes_.size(); ++rank) {
+    const Lane& lane = lanes_[rank];
+    for (std::size_t i = 0; i < lane.slots.size(); ++i)
+      if (lane.slots[i].has_value())
+        out.push_back(gms::FlushedMessage{view_.members[rank], lane.base + i,
+                                          *lane.slots[i]});
+  }
+  return out;
 }
 
 void Endpoint::on_reachability_change() {
@@ -504,11 +535,8 @@ void Endpoint::stability_tick() {
     gms::StabilityMsg msg;
     msg.view = view_.id;
     msg.delivered_upto.reserve(view_.size());
-    for (const ProcessId member : view_.members) {
-      const auto it = streams_.find(member);
-      msg.delivered_upto.push_back(
-          it == streams_.end() ? 0 : it->second.next_expected - 1);
-    }
+    for (const Lane& lane : lanes_)
+      msg.delivered_upto.push_back(lane.next_expected - 1);
     stability_reports_[id()] = msg.delivered_upto;
     Encoder body;
     msg.encode(body);
@@ -531,7 +559,6 @@ void Endpoint::collect_garbage() {
   // A message (s, seq) is stable once every member has delivered the
   // contiguous prefix through seq; it can never be needed by a flush.
   for (std::size_t rank = 0; rank < view_.size(); ++rank) {
-    const ProcessId sender = view_.members[rank];
     std::uint64_t stable = UINT64_MAX;
     bool have_all = true;
     for (const ProcessId member : view_.members) {
@@ -543,12 +570,18 @@ void Endpoint::collect_garbage() {
       stable = std::min(stable, it->second[rank]);
     }
     if (!have_all) return;
-    const auto begin = buffer_.lower_bound(std::make_pair(sender, std::uint64_t{0}));
-    auto it = begin;
-    while (it != buffer_.end() && it->first.first == sender &&
-           it->first.second <= stable) {
-      ++stats_.stability_gc_messages;
-      it = buffer_.erase(it);
+    // Our own report bounds `stable` by what we delivered; the cap keeps an
+    // undelivered message in its lane even against a bogus report.
+    Lane& lane = lanes_[rank];
+    stable = std::min(stable, lane.next_expected - 1);
+    while (!lane.slots.empty() && lane.base <= stable) {
+      if (lane.slots.front().has_value()) {
+        ++stats_.stability_gc_messages;
+        --buffered_;
+        buffered_bytes_ -= lane.slots.front()->size();
+      }
+      lane.slots.pop_front();
+      ++lane.base;
     }
   }
 }
@@ -570,6 +603,8 @@ void Endpoint::export_metrics(obs::MetricsRegistry& registry,
   registry.counter(prefix + ".frame_bytes_encoded")
       .set(stats_.frame_bytes_encoded);
   registry.counter(prefix + ".buffer_peak").set(stats_.buffer_peak);
+  registry.gauge(prefix + ".buffered_bytes")
+      .set(static_cast<double>(buffered_bytes_));
   if (detector_ != nullptr)
     detector_->export_metrics(registry, prefix + ".detector");
 }
@@ -584,7 +619,7 @@ std::string Endpoint::admin_status_fields() const {
     os << '"' << to_string(view_.members[i]) << '"';
   }
   os << "],\"blocked\":" << (blocked() ? "true" : "false")
-     << ",\"buffered\":" << buffer_.size()
+     << ",\"buffered\":" << buffered_
      << ",\"views_installed\":" << stats_.views_installed
      << ",\"data_multicast\":" << stats_.data_multicast
      << ",\"data_delivered\":" << stats_.data_delivered;

@@ -29,9 +29,11 @@
 // Concurrent views arise naturally: a coordinator can only assemble ACKs
 // from its own partition, so each partition installs its own view.
 //
-// Within a view, delivery is FIFO per sender. A periodic stability gossip
-// lets members garbage-collect messages that every view member has
-// delivered (they can never be needed by a flush again).
+// Within a view, delivery is FIFO per sender. Each sender has one lane per
+// view that holds each of its messages once: FIFO delivery reads a message
+// in place, the flush ACK lists it, and a periodic stability gossip pops it
+// off the lane's front once every view member has delivered it (it can
+// never be needed by a flush again).
 #pragma once
 
 #include <cstdint>
@@ -39,7 +41,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -139,10 +140,25 @@ class Endpoint : public runtime::Node {
   /// True once leave() announced this incarnation's departure.
   bool left() const { return left_; }
 
+  /// How far past a lane's FIFO cursor a message may land. Anything
+  /// further is discarded and counted in messages_discarded, so a peer's
+  /// seq cannot make a lane allocate without bound. A stream that far
+  /// behind a gap is stalled anyway, and its flush would not fit a
+  /// datagram.
+  static constexpr std::uint64_t kLaneSpan = 1 << 16;
+
   const gms::View& view() const { return view_; }
   bool blocked() const { return acked_round_.has_value(); }
   /// Messages currently buffered for a potential flush.
-  std::size_t buffer_size() const { return buffer_.size(); }
+  std::size_t buffer_size() const { return buffered_; }
+  /// Payload bytes of those messages.
+  std::size_t buffered_bytes() const { return buffered_bytes_; }
+  /// Buffered messages FIFO delivery has not reached yet: those past a
+  /// gap, and those received while frozen for a view change.
+  std::size_t undelivered() const;
+  /// The flush summary: every buffered message in (sender, seq) order,
+  /// exactly as the next ACK carries it.
+  std::vector<gms::FlushedMessage> unstable() const;
   const EndpointStats& stats() const { return stats_; }
   const EndpointConfig& config() const { return config_; }
 
@@ -164,9 +180,14 @@ class Endpoint : public runtime::Node {
   std::string admin_status_fields() const;
 
  private:
-  struct PerSender {
+  /// One sender's messages of the current view. Slot i holds seq
+  /// base + i, or nothing if that seq has not arrived. Every seq below
+  /// next_expected was delivered; within a view those slots are all
+  /// filled and wait for stability GC to pop them.
+  struct Lane {
+    std::uint64_t base = 1;
     std::uint64_t next_expected = 1;
-    std::map<std::uint64_t, Bytes> pending;  // received out of order
+    std::deque<std::optional<Bytes>> slots;
   };
 
   struct Coordinating {
@@ -193,10 +214,12 @@ class Endpoint : public runtime::Node {
   void check_tick();
   void collect_garbage();
 
+  /// The lane of a member of the current view; nullptr for anyone else.
+  Lane* lane_of(ProcessId sender);
   void accept_data(ProcessId sender, gms::DataMsg msg);
-  void try_deliver(ProcessId sender);
+  void try_deliver(ProcessId sender, Lane& lane);
+  /// Flush-path delivery of one message of the dying view's union.
   void deliver(ProcessId sender, std::uint64_t seq, const Bytes& payload);
-  bool already_delivered(ProcessId sender, std::uint64_t seq) const;
 
   /// Builds the wire frame exactly once, counting the encode work.
   SharedBytes frame_once(gms::Channel channel, Encoder&& body);
@@ -219,10 +242,11 @@ class Endpoint : public runtime::Node {
   std::uint64_t max_number_seen_ = 0;
   std::uint64_t send_seq_ = 0;
 
-  // Messages of the current view (sent + received), keyed (sender, seq);
-  // the flush summary. Stability GC trims it.
-  std::map<std::pair<ProcessId, std::uint64_t>, Bytes> buffer_;
-  std::unordered_map<ProcessId, PerSender> streams_;
+  // Messages of the current view (sent + received), one lane per member,
+  // parallel to view_.members; the flush summary. Stability GC trims it.
+  std::vector<Lane> lanes_;
+  std::size_t buffered_ = 0;
+  std::size_t buffered_bytes_ = 0;
 
   // Freeze state: highest round ACKed; set while a view change is pending.
   std::optional<gms::RoundId> acked_round_;

@@ -455,13 +455,8 @@ int main(int argc, char** argv) {
 
   for (const std::string& path : config_paths) ::unlink(path.c_str());
   if (!keep_tree) ::unlink(tree_path.c_str());
-  for (const std::string& path : traces) {
-    const std::string stem =
-        path.substr(0, path.size() - sizeof(".trace.jsonl") + 1);
-    ::unlink((stem + ".trace.jsonl").c_str());
-    ::unlink((stem + ".metrics.json").c_str());
-    ::unlink((stem + ".trace.chrome.json").c_str());
-  }
+  for (const std::string& path : traces)
+    remove_node_dumps(path.substr(0, path.size() - sizeof(".trace.jsonl") + 1));
   ::rmdir(dir.c_str());
   std::printf("PASS\n");
   return 0;

@@ -221,6 +221,79 @@ TEST(LogShard, FillPlugsHolesAndTrimDiscardsPrefix) {
   EXPECT_EQ(read(c, coord, 2).value, "Dr2");
 }
 
+TEST(LogShard, WritePathMemoryGaugesMatchWhatIsHeld) {
+  Cluster c(3, 8, [](const auto& u) { return shard_config(u); });
+  ASSERT_TRUE(c.await_all_normal(c.all_indices()));
+  const std::size_t coord = coordinator_index(c, c.all_indices());
+  constexpr double kChunk = log::RecordArena::kChunkBytes;
+
+  auto gauge = [&](std::size_t i, const std::string& name) {
+    obs::MetricsRegistry registry;
+    c.obj(i).export_metrics(registry, "g");
+    return registry.gauge("g." + name).value();
+  };
+  auto unstable_bytes = [&](std::size_t i) {
+    double n = 0;
+    for (const gms::FlushedMessage& fm : c.obj(i).unstable())
+      n += static_cast<double>(fm.payload.size());
+    return n;
+  };
+  // Record bytes as LogRead serves them ("D" + record), trimmed ones none.
+  auto record_bytes_read = [&](std::size_t i) {
+    double n = 0;
+    for (std::uint64_t p = c.obj(i).trim_floor(); p < c.obj(i).global_tail(); ++p)
+      n += static_cast<double>(read(c, i, p).value.size() - 1);
+    return n;
+  };
+  auto check = [&](const char* when) {
+    for (const std::size_t i : c.all_indices()) {
+      EXPECT_EQ(gauge(i, "buffered_bytes"), unstable_bytes(i)) << when;
+      const double held = record_bytes_read(i);
+      const double arena = gauge(i, "log.record_bytes");
+      // Whole chunks: never less than the records, and at most the
+      // unused tails of the first and last chunk more (records here are
+      // small enough not to strand much else).
+      EXPECT_GE(arena, held) << when;
+      EXPECT_LT(arena, held + 2 * kChunk) << when;
+    }
+  };
+
+  for (int n = 0; n < 300; ++n)
+    ASSERT_EQ(append(c, coord, std::string(40 + n % 50, 'a')).status,
+              SvcStatus::Ok);
+  // Bigger than a chunk: gets a chunk of its own size.
+  ASSERT_EQ(append(c, coord, std::string(70000, 'z')).status, SvcStatus::Ok);
+  ASSERT_TRUE(c.await([&]() {
+    for (const std::size_t i : c.all_indices())
+      if (c.obj(i).records() != 301) return false;
+    return true;
+  }));
+  EXPECT_GT(unstable_bytes(coord), 0.0);  // the gossip has not caught up
+  check("after appends");
+  EXPECT_GT(gauge(coord, "log.record_bytes"), 70000.0);
+
+  // Stability gossip empties the flush buffer; the records stay.
+  ASSERT_TRUE(c.await([&]() {
+    for (const std::size_t i : c.all_indices())
+      if (gauge(i, "buffered_bytes") != 0) return false;
+    return true;
+  }));
+  check("after stability");
+
+  // Trimming everything frees every chunk.
+  Captured trim;
+  c.obj(coord).svc_request(make_req(SvcOp::LogTrim, "301"), capture(trim));
+  ASSERT_TRUE(c.await([&]() { return trim.done; }));
+  ASSERT_TRUE(c.await([&]() {
+    for (const std::size_t i : c.all_indices())
+      if (c.obj(i).records() != 0) return false;
+    return true;
+  }));
+  check("after trim");
+  for (const std::size_t i : c.all_indices())
+    EXPECT_EQ(gauge(i, "log.record_bytes"), 0.0);
+}
+
 TEST(LogShard, MinorityPartitionRefusesServiceAndHealsClean) {
   Cluster c(3, 6, [](const auto& u) { return shard_config(u); });
   ASSERT_TRUE(c.await_all_normal(c.all_indices()));

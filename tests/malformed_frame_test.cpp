@@ -666,6 +666,28 @@ TEST(MalformedSnapshot, SeedsInstallAndRoundTrip) {
   EXPECT_EQ(db.snapshot_state(), db_seed());
 }
 
+TEST(MalformedSnapshot, GappedSlotListRejected) {
+  // The shard_seed format with local 3 missing: slots 2, 4, 5 under
+  // trim_floor 2 and next_local 6. A shard is dense by construction, so
+  // this is corruption — installing it would answer "filled" for a
+  // position nobody filled.
+  Encoder enc;
+  enc.put_varint(17);  // version
+  enc.put_varint(6);   // next_local
+  enc.put_varint(2);   // trim_floor
+  enc.put_varint(1);   // sealed_epoch
+  enc.put_varint(3);   // slots
+  for (const std::uint64_t local : {2, 4, 5}) {
+    enc.put_varint(local);
+    enc.put_u8(0);
+    enc.put_string("rec" + std::to_string(local));
+  }
+  const Bytes gapped = std::move(enc).take();
+  EXPECT_FALSE(install_or_reject(make_shard, gapped));
+  auto shard = make_shard();
+  EXPECT_THROW(shard.merge_cluster_states({shard_seed(), gapped}), DecodeError);
+}
+
 TEST(MalformedSnapshot, EveryTruncationRejectsCleanly) {
   const Bytes shard_full = shard_seed();
   for (std::size_t len = 0; len < shard_full.size(); ++len)

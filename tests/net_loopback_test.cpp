@@ -354,13 +354,8 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "ok: merged traces pass trace_check + span analysis\n");
 
   // Success: clean up the scratch directory.
-  for (const std::string& path : traces) {
-    const std::string stem = path.substr(0, path.size() - sizeof(".trace.jsonl") + 1);
-    ::unlink((stem + ".trace.jsonl").c_str());
-    ::unlink((stem + ".chrome.json").c_str());
-    ::unlink((stem + ".metrics.json").c_str());
-    ::unlink((stem + ".metrics.prom").c_str());
-  }
+  for (const std::string& path : traces)
+    remove_node_dumps(path.substr(0, path.size() - sizeof(".trace.jsonl") + 1));
   if (artifacts == dir) {
     ::unlink(spans_json.c_str());
     ::unlink(spans_chrome.c_str());

@@ -251,6 +251,14 @@ inline int run_and_wait(const std::vector<std::string>& args) {
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
+/// Removes the files evs_node's trace dump (obs::dump_run) writes under
+/// `stem`, so a passing runner can rmdir its scratch directory.
+inline void remove_node_dumps(const std::string& stem) {
+  for (const char* suffix :
+       {".trace.jsonl", ".chrome.json", ".metrics.json", ".metrics.prom"})
+    ::unlink((stem + suffix).c_str());
+}
+
 /// Blocking loopback HTTP/1.0 GET with a receive timeout; returns the
 /// whole response (headers + body) or "" on any failure.
 inline std::string http_get(std::uint16_t port, const std::string& path) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <random>
 #include <set>
 #include <string>
 
@@ -340,6 +342,282 @@ TEST_P(VsyncRandomFaults, PropertiesHoldUnderRandomSchedule) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, VsyncRandomFaults,
                          ::testing::Range<std::uint64_t>(1, 13));
+
+// ---------------------------------------------------------------------
+// Per-sender lanes. These drive one endpoint directly with frames built
+// here, never running the world after the view forms: every step is
+// synchronous, and nothing but the injected frames touches the buffer.
+
+Bytes data_frame(ViewId view, std::uint64_t seq, const Bytes& payload) {
+  gms::DataMsg msg;
+  msg.view = view;
+  msg.seq = seq;
+  msg.payload = payload;
+  Encoder body;
+  msg.encode(body);
+  return gms::frame(gms::Channel::Data, std::move(body));
+}
+
+Bytes stability_frame(ViewId view, std::vector<std::uint64_t> upto) {
+  gms::StabilityMsg msg;
+  msg.view = view;
+  msg.delivered_upto = std::move(upto);
+  Encoder body;
+  msg.encode(body);
+  return gms::frame(gms::Channel::Stability, std::move(body));
+}
+
+template <typename Msg>
+Bytes membership_frame(gms::MembershipKind kind, const Msg& msg) {
+  Encoder body;
+  body.put_u8(static_cast<std::uint8_t>(kind));
+  msg.encode(body);
+  return gms::frame(gms::Channel::Membership, std::move(body));
+}
+
+/// The same bytes every time (sender, seq) is sent, of varying length.
+Bytes lane_payload(ProcessId sender, std::uint64_t seq) {
+  return to_bytes("s" + std::to_string(sender.site.value) + ":" +
+                  std::to_string(seq) + std::string(seq % 7, 'x'));
+}
+
+/// The buffer as it was kept before lanes: a (sender, seq)-keyed map plus
+/// a per-sender FIFO cursor and out-of-order map, with the same flush,
+/// GC and install rules.
+struct BufferModel {
+  std::map<std::pair<ProcessId, std::uint64_t>, Bytes> buffer;
+  std::map<ProcessId, std::uint64_t> next;
+  std::map<ProcessId, std::map<std::uint64_t, Bytes>> pending;
+  std::map<ProcessId, std::vector<std::uint64_t>> reports;
+  std::vector<std::pair<ProcessId, std::string>> delivered;
+  bool blocked = false;
+
+  std::uint64_t& cursor(ProcessId s) { return next.try_emplace(s, 1).first->second; }
+
+  void accept(ProcessId s, std::uint64_t seq, const Bytes& payload) {
+    if (seq < cursor(s) || buffer.contains({s, seq})) return;
+    buffer.emplace(std::make_pair(s, seq), payload);
+    pending[s].emplace(seq, payload);
+    if (!blocked) drain(s);
+  }
+  void drain(ProcessId s) {
+    auto& queue = pending[s];
+    for (auto it = queue.find(cursor(s)); it != queue.end();
+         it = queue.find(cursor(s))) {
+      delivered.emplace_back(s, to_string(it->second));
+      queue.erase(it);
+      ++cursor(s);
+    }
+  }
+  void report(ProcessId from, std::vector<std::uint64_t> upto,
+              const std::vector<ProcessId>& members) {
+    reports[from] = std::move(upto);
+    if (reports.size() < members.size()) return;
+    for (std::size_t rank = 0; rank < members.size(); ++rank) {
+      std::uint64_t stable = UINT64_MAX;
+      for (const ProcessId m : members) stable = std::min(stable, reports[m][rank]);
+      std::erase_if(buffer, [&](const auto& e) {
+        return e.first.first == members[rank] && e.first.second <= stable;
+      });
+    }
+  }
+  void flush(const std::vector<gms::FlushedMessage>& messages) {
+    for (const gms::FlushedMessage& fm : messages) {
+      if (fm.seq < cursor(fm.sender) && !pending[fm.sender].contains(fm.seq))
+        continue;
+      pending[fm.sender].erase(fm.seq);
+      cursor(fm.sender) = std::max(cursor(fm.sender), fm.seq + 1);
+      delivered.emplace_back(fm.sender, to_string(fm.payload));
+    }
+  }
+  void install() {
+    buffer.clear();
+    next.clear();
+    pending.clear();
+    reports.clear();
+    blocked = false;
+  }
+  std::vector<gms::FlushedMessage> unstable() const {
+    std::vector<gms::FlushedMessage> out;
+    for (const auto& [key, payload] : buffer)
+      out.push_back(gms::FlushedMessage{key.first, key.second, payload});
+    return out;
+  }
+  std::size_t bytes() const {
+    std::size_t n = 0;
+    for (const auto& entry : buffer) n += entry.second.size();
+    return n;
+  }
+};
+
+class LaneDifferential : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(LaneDifferential, MatchesMapModelThroughGapsGcAndInstall) {
+  ClusterOptions opt{.sites = 3, .seed = GetParam()};
+  opt.endpoint.stability_interval = 0;
+  Cluster c(opt);
+  ASSERT_TRUE(c.await_stable_view({0, 1, 2}));
+  vsync::Endpoint& ep = c.ep(0);
+  const ProcessId self = ep.id();
+  const std::vector<ProcessId> members = ep.view().members;
+  const std::vector<ProcessId> peers = {c.world().live_process(c.site(1)),
+                                        c.world().live_process(c.site(2))};
+  const std::size_t delivered_before = c.rec(0).deliveries().size();
+
+  BufferModel model;
+  std::mt19937_64 rng(GetParam());
+  auto pick = [&](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+  };
+  ViewId view = ep.view().id;
+  std::uint64_t self_seq = 0;
+  std::vector<Bytes> queued;  // multicast while frozen
+  std::optional<gms::RoundId> round;
+  std::vector<gms::FlushedMessage> acked;  // what our ACK carried
+  int installs = 0;
+
+  for (int step = 0; step < 1500; ++step) {
+    const int op = pick(0, 99);
+    if (op < 60) {
+      const ProcessId s = peers[static_cast<std::size_t>(pick(0, 1))];
+      const auto seq = static_cast<std::uint64_t>(
+          std::max<std::int64_t>(1, static_cast<std::int64_t>(model.cursor(s)) + pick(-2, 6)));
+      ep.on_message(s, data_frame(view, seq, lane_payload(s, seq)));
+      model.accept(s, seq, lane_payload(s, seq));
+    } else if (op < 70) {
+      const Bytes payload = to_bytes("own" + std::to_string(step));
+      ep.multicast(payload);
+      if (model.blocked)
+        queued.push_back(payload);
+      else
+        model.accept(self, ++self_seq, payload);
+    } else if (op < 88) {
+      // Our own report is what we delivered; a peer's may run ahead.
+      const ProcessId from = members[static_cast<std::size_t>(pick(0, 2))];
+      std::vector<std::uint64_t> upto;
+      for (const ProcessId m : members) {
+        const std::uint64_t mine = model.cursor(m) - 1;
+        upto.push_back(from == self ? mine
+                                    : mine + static_cast<std::uint64_t>(pick(0, 3)));
+      }
+      ep.on_message(from, stability_frame(view, upto));
+      model.report(from, upto, members);
+    } else if (op < 94 && !model.blocked) {
+      round = gms::RoundId{view.epoch + 1, peers[0]};
+      gms::Propose propose;
+      propose.round = *round;
+      propose.members = members;
+      acked = ep.unstable();
+      ep.on_message(peers[0],
+                    membership_frame(gms::MembershipKind::Propose, propose));
+      ASSERT_TRUE(ep.blocked());
+      model.blocked = true;
+    } else if (op >= 94 && model.blocked) {
+      // The union: our ACK plus messages only some other member held.
+      std::map<std::pair<ProcessId, std::uint64_t>, Bytes> agreed;
+      for (const gms::FlushedMessage& fm : acked)
+        agreed.emplace(std::make_pair(fm.sender, fm.seq), fm.payload);
+      for (int extra = pick(0, 4); extra > 0; --extra) {
+        const ProcessId s = peers[static_cast<std::size_t>(pick(0, 1))];
+        const std::uint64_t seq = model.cursor(s) + static_cast<std::uint64_t>(pick(0, 5));
+        agreed.emplace(std::make_pair(s, seq), lane_payload(s, seq));
+      }
+      std::vector<gms::FlushedMessage> flushed;
+      for (const auto& [key, payload] : agreed)
+        flushed.push_back(gms::FlushedMessage{key.first, key.second, payload});
+      gms::Install install;
+      install.round = *round;
+      install.view.id = ViewId{round->number, round->coordinator};
+      install.view.members = members;
+      install.unions = {{view, flushed}};
+      ep.on_message(peers[0],
+                    membership_frame(gms::MembershipKind::Install, install));
+      ASSERT_EQ(ep.view().id, install.view.id);
+      model.flush(flushed);
+      model.install();
+      view = install.view.id;
+      self_seq = 0;
+      for (const Bytes& payload : queued) model.accept(self, ++self_seq, payload);
+      queued.clear();
+      ++installs;
+    }
+
+    ASSERT_EQ(ep.buffer_size(), model.buffer.size()) << "step " << step;
+    ASSERT_EQ(ep.buffered_bytes(), model.bytes()) << "step " << step;
+    ASSERT_EQ(ep.unstable(), model.unstable()) << "step " << step;
+    const auto& got = c.rec(0).deliveries();
+    ASSERT_EQ(got.size() - delivered_before, model.delivered.size())
+        << "step " << step;
+    for (std::size_t i = 0; i < model.delivered.size(); ++i) {
+      ASSERT_EQ(got[delivered_before + i].sender, model.delivered[i].first);
+      ASSERT_EQ(got[delivered_before + i].payload, model.delivered[i].second);
+    }
+  }
+  EXPECT_GT(installs, 3);
+  EXPECT_GT(ep.stats().stability_gc_messages, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LaneDifferential,
+                         ::testing::Values(1, 2, 3));
+
+TEST(VsyncLane, InOrderStreamKeepsNoOutOfOrderState) {
+  ClusterOptions opt{.sites = 2};
+  opt.endpoint.stability_interval = 0;
+  Cluster c(opt);
+  ASSERT_TRUE(c.await_stable_view({0, 1}));
+  vsync::Endpoint& ep = c.ep(0);
+  const ProcessId peer = c.world().live_process(c.site(1));
+  const ViewId view = ep.view().id;
+  const std::size_t delivered_before = c.rec(0).deliveries().size();
+
+  std::size_t bytes = 0;
+  for (std::uint64_t seq = 1; seq <= 200; ++seq) {
+    ep.on_message(peer, data_frame(view, seq, lane_payload(peer, seq)));
+    bytes += lane_payload(peer, seq).size();
+    // Delivered on arrival and held once, for the flush only.
+    ASSERT_EQ(ep.undelivered(), 0u);
+    ASSERT_EQ(c.rec(0).deliveries().size() - delivered_before, seq);
+    ASSERT_EQ(ep.buffer_size(), seq);
+    ASSERT_EQ(ep.buffered_bytes(), bytes);
+  }
+  // A gap is the only thing that leaves a message waiting.
+  ep.on_message(peer, data_frame(view, 202, lane_payload(peer, 202)));
+  EXPECT_EQ(ep.undelivered(), 1u);
+  ep.on_message(peer, data_frame(view, 201, lane_payload(peer, 201)));
+  EXPECT_EQ(ep.undelivered(), 0u);
+  EXPECT_EQ(c.rec(0).deliveries().size() - delivered_before, 202u);
+}
+
+TEST(VsyncLane, SeqPastTheSpanIsDiscardedAndCounted) {
+  ClusterOptions opt{.sites = 2};
+  opt.endpoint.stability_interval = 0;
+  Cluster c(opt);
+  ASSERT_TRUE(c.await_stable_view({0, 1}));
+  vsync::Endpoint& ep = c.ep(0);
+  const ProcessId peer = c.world().live_process(c.site(1));
+  const ViewId view = ep.view().id;
+  const std::uint64_t discarded = ep.stats().messages_discarded;
+
+  // The lane's cursor is at 1: seq 1 + kLaneSpan is one past the span.
+  const std::uint64_t far = 1 + vsync::Endpoint::kLaneSpan;
+  ep.on_message(peer, data_frame(view, far, lane_payload(peer, far)));
+  EXPECT_EQ(ep.stats().messages_discarded, discarded + 1);
+  EXPECT_EQ(ep.buffer_size(), 0u);
+  EXPECT_EQ(ep.undelivered(), 0u);
+
+  // The last seq inside the span waits behind its gap like any other.
+  ep.on_message(peer, data_frame(view, far - 1, lane_payload(peer, far - 1)));
+  EXPECT_EQ(ep.stats().messages_discarded, discarded + 1);
+  EXPECT_EQ(ep.buffer_size(), 1u);
+  EXPECT_EQ(ep.undelivered(), 1u);
+
+  // Data stamped with our view from a process outside it is no message
+  // of this view either.
+  const ProcessId stranger{SiteId{99}, 1};
+  ep.on_message(stranger, data_frame(view, 1, lane_payload(stranger, 1)));
+  EXPECT_EQ(ep.stats().messages_discarded, discarded + 2);
+  EXPECT_EQ(ep.buffer_size(), 1u);
+}
 
 }  // namespace
 }  // namespace evs::test
