@@ -32,7 +32,7 @@
 #include <map>
 #include <vector>
 
-#include "evs/delivered_set.hpp"
+#include "common/delivered_set.hpp"
 #include "evs/structure.hpp"
 #include "vsync/endpoint.hpp"
 

@@ -157,13 +157,20 @@ void LogShard::svc_dispatch(SvcRequest req, SvcRespondFn respond) {
         return;
       }
       const std::uint64_t local = *global / config_.shard_count;
+      const bool fill = req.op == SvcOp::LogFill;
+      if (fill && fill_out_of_reach(local)) {
+        respond(SvcResponse::unsupported());
+        return;
+      }
       Encoder enc;
-      enc.put_u8(static_cast<std::uint8_t>(
-          req.op == SvcOp::LogTrim ? OpKind::Trim : OpKind::Fill));
+      enc.put_u8(static_cast<std::uint8_t>(fill ? OpKind::Fill : OpKind::Trim));
       enc.put_varint(local);
       const std::string echo = req.key;
       svc_multicast(std::move(enc).take(), std::move(respond),
-                    [this, echo]() {
+                    [this, echo, fill, local]() {
+                      // A fill apply_fill ignored left the tail below it.
+                      if (fill && local >= next_local_)
+                        return SvcResponse::unsupported();
                       return SvcResponse::ok(view_epoch(), echo);
                     });
       return;
@@ -206,6 +213,12 @@ void LogShard::apply_append(std::string_view record) {
 void LogShard::apply_fill(std::uint64_t local) {
   if (local < next_local_) {
     ++version_;  // occupied (data raced the fill and won) — no-op
+    return;
+  }
+  if (fill_out_of_reach(local)) {
+    // Every replica applies the same op to the same tail: all refuse it.
+    ++fills_refused_;
+    ++version_;
     return;
   }
   // Junk-fill everything up to and including `local`: in-order global
@@ -348,6 +361,7 @@ void LogShard::export_metrics(obs::MetricsRegistry& registry,
   app::GroupObjectBase::export_metrics(registry, prefix);
   registry.gauge(prefix + ".log.record_bytes")
       .set(static_cast<double>(records_.held_bytes()));
+  registry.counter(prefix + ".log.fills_refused").set(fills_refused_);
 }
 
 }  // namespace evs::log

@@ -55,6 +55,11 @@ struct LogShardConfig {
 
 class LogShard : public app::GroupObjectBase {
  public:
+  /// Local positions a fill may reach past the shard tail. A fill mints
+  /// one junk record for every position it skips, so an unbounded one
+  /// would let a single request grow every replica without limit.
+  static constexpr std::uint64_t kMaxFillAhead = 4096;
+
   explicit LogShard(LogShardConfig config);
 
   std::uint32_t shard_index() const { return config_.shard_index; }
@@ -72,10 +77,13 @@ class LogShard : public app::GroupObjectBase {
   /// sealed epoch.
   bool sealed() const { return view_epoch() <= sealed_epoch_; }
   std::size_t records() const { return records_.size(); }
+  /// Ordered fills ignored for reaching past kMaxFillAhead (admission
+  /// refuses them, so only a fill ordered around it counts).
+  std::uint64_t fills_refused() const { return fills_refused_; }
 
   std::string admin_status_json() const override;
   /// The object's metrics plus `<prefix>.log.record_bytes`, the bytes the
-  /// record arena holds.
+  /// record arena holds, and the `<prefix>.log.fills_refused` counter.
   void export_metrics(obs::MetricsRegistry& registry,
                       const std::string& prefix) const override;
 
@@ -103,6 +111,10 @@ class LogShard : public app::GroupObjectBase {
   };
 
   bool is_coordinator() const;
+  /// True for a fill of `local` more than kMaxFillAhead past the tail.
+  bool fill_out_of_reach(std::uint64_t local) const {
+    return local > next_local_ && local - next_local_ > kMaxFillAhead;
+  }
   /// Applies one ordered op; returns the local position it assigned
   /// (Append/Fill) or 0.
   void apply_append(std::string_view record);
@@ -121,6 +133,7 @@ class LogShard : public app::GroupObjectBase {
   std::uint64_t trim_floor_ = 0;   // local positions below are trimmed
   std::uint64_t sealed_epoch_ = 0;
   std::uint64_t version_ = 0;      // bumps on every applied op
+  std::uint64_t fills_refused_ = 0;
   /// Local position assigned by the most recently applied Append/Fill —
   /// read by svc finish lambdas, which run right after the apply.
   std::uint64_t last_assigned_local_ = 0;

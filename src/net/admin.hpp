@@ -28,9 +28,10 @@
 //                        through this node.
 //   GET /health        — the online oracle checker's verdict (a JSON
 //                        object from obs::LiveChecker::health_json):
-//                        events checked, violations total / per group,
-//                        recent violation summaries. Always HTTP 200; the
-//                        body's "healthy" flag carries the verdict.
+//                        events checked, entries tracked, violations
+//                        total / per group, recent violation summaries.
+//                        Always HTTP 200; the body's "healthy" flag
+//                        carries the verdict.
 //
 // Write side (POST) — the paper's application-control calls, exposed so
 // an operator, orchestrator or tools/evs_ctl can drive Figure-1 mode

@@ -346,29 +346,6 @@ void write_spans_json(std::ostream& os, const SpanAnalysis& a) {
   os << "]}\n";
 }
 
-namespace {
-
-// Lifecycle rank of a request phase on one node; Fenced is out-of-band
-// (a view change can fence at any point) and gets no rank.
-int request_phase_rank(EventKind kind) {
-  switch (kind) {
-    case EventKind::RequestAdmitted:
-      return 0;
-    case EventKind::RequestOrdered:
-      return 1;
-    case EventKind::RequestDelivered:
-      return 2;
-    case EventKind::RequestApplied:
-      return 3;
-    case EventKind::RequestReplied:
-      return 4;
-    default:
-      return -1;
-  }
-}
-
-}  // namespace
-
 RequestTree assemble_request_tree(const std::vector<TraceEvent>& events,
                                   std::uint64_t trace_id,
                                   const ClockModel& clocks) {

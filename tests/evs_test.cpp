@@ -8,14 +8,13 @@
 #include <utility>
 #include <vector>
 
-#include "evs/delivered_set.hpp"
+#include "common/delivered_set.hpp"
 #include "sim/fault.hpp"
 #include "support/evs_cluster.hpp"
 
 namespace evs::test {
 namespace {
 
-using core::DeliveredSet;
 using core::EView;
 using core::EViewStructure;
 

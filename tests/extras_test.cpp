@@ -21,7 +21,7 @@ TEST(Extras, LeaveDuringTrafficPreservesProperties) {
   c.ep(3).leave();  // graceful departure mid-stream
   ASSERT_TRUE(c.await_stable_view({0, 1, 2}));
   c.world().run_for(3 * kSecond);
-  EXPECT_TRUE(check_vs_properties(recorder_ptrs(c.all_recorders())));
+  EXPECT_TRUE(check_vs_properties(c));
   // Survivors saw all of the survivor's messages.
   std::set<std::string> got;
   for (const auto& d : c.rec(1).deliveries()) got.insert(d.payload);
@@ -56,7 +56,7 @@ TEST_P(OneAtATimeFaults, PropertiesHoldUnderThePolicy) {
   }
   c.world().network().heal();
   c.world().run_for(10 * kSecond);
-  EXPECT_TRUE(check_vs_properties(recorder_ptrs(c.all_recorders())));
+  EXPECT_TRUE(check_vs_properties(c));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OneAtATimeFaults,

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "codec/codec.hpp"
 #include "log/log_shard.hpp"
 #include "support/object_cluster.hpp"
 
@@ -219,6 +220,59 @@ TEST(LogShard, FillPlugsHolesAndTrimDiscardsPrefix) {
   EXPECT_EQ(read(c, coord, 0).value, "T");
   EXPECT_EQ(read(c, coord, 1).value, "T");
   EXPECT_EQ(read(c, coord, 2).value, "Dr2");
+}
+
+TEST(LogShard, FillFarPastTheTailIsRefused) {
+  // A fill mints a junk record for every position it skips: one reaching
+  // far past the tail would grow every replica by that much (a position
+  // near 2^64 would never finish).
+  Cluster c(3, 6, [](const auto& u) { return shard_config(u); });
+  ASSERT_TRUE(c.await_all_normal(c.all_indices()));
+  const std::size_t coord = coordinator_index(c, c.all_indices());
+  ASSERT_EQ(append(c, coord, "r0").status, SvcStatus::Ok);
+
+  // Refused at admission, past kMaxFillAhead beyond the tail (1).
+  for (const std::uint64_t pos :
+       {LogShard::kMaxFillAhead + 2, std::uint64_t{3'000'000},
+        ~std::uint64_t{0}}) {
+    Captured fill;
+    c.obj(coord).svc_request(make_req(SvcOp::LogFill, std::to_string(pos)),
+                             capture(fill));
+    ASSERT_TRUE(c.await([&]() { return fill.done; }));
+    ASSERT_EQ(fill.resp.status, SvcStatus::Unsupported) << pos;
+  }
+
+  // The same fill ordered around admission (a raw object frame: kind
+  // Object, op seq 0, untraced, then the Fill op) is ignored and counted
+  // on every replica alike.
+  Encoder op;
+  op.put_u8(4);  // OpKind::Fill
+  op.put_varint(3'000'000);
+  Encoder frame;
+  frame.put_u8(1);  // FrameKind::Object
+  frame.put_varint(0);
+  frame.put_varint(0);
+  frame.put_bytes(std::move(op).take());
+  c.obj(coord).app_multicast(std::move(frame).take());
+  ASSERT_TRUE(c.await([&]() {
+    for (const std::size_t i : c.all_indices())
+      if (c.obj(i).fills_refused() != 1) return false;
+    return true;
+  }));
+  for (const std::size_t i : c.all_indices()) {
+    EXPECT_EQ(c.obj(i).records(), 1u);
+    EXPECT_EQ(c.obj(i).global_tail(), 1u);
+  }
+
+  // A fill at the edge of reach still plugs the holes before it.
+  Captured edge;
+  c.obj(coord).svc_request(
+      make_req(SvcOp::LogFill, std::to_string(LogShard::kMaxFillAhead + 1)),
+      capture(edge));
+  ASSERT_TRUE(c.await([&]() { return edge.done; }));
+  ASSERT_EQ(edge.resp.status, SvcStatus::Ok);
+  EXPECT_EQ(c.obj(coord).global_tail(), LogShard::kMaxFillAhead + 2);
+  EXPECT_EQ(read(c, coord, LogShard::kMaxFillAhead + 1).value, "F");
 }
 
 TEST(LogShard, WritePathMemoryGaugesMatchWhatIsHeld) {

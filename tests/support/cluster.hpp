@@ -1,8 +1,10 @@
 // Test support: a cluster of vsync endpoints over a simulated world.
 //
 // Tracks every incarnation's recorder (crashed incarnations keep their
-// history — the oracles reason over all of them) and knows how to respawn
-// endpoints through the world's default spawner.
+// history) and knows how to respawn endpoints through the world's default
+// spawner. Every run feeds the oracle engine (obs/check.hpp) from the
+// world's trace bus; support/oracle.hpp turns its verdict into an
+// assertion.
 #pragma once
 
 #include <functional>
@@ -11,6 +13,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "obs/check.hpp"
 #include "sim/world.hpp"
 #include "support/recorder.hpp"
 #include "vsync/endpoint.hpp"
@@ -28,7 +31,11 @@ struct ClusterOptions {
 class Cluster {
  public:
   explicit Cluster(ClusterOptions options)
-      : options_(options), world_(options.seed, options.net) {
+      : options_(options), checker_(&violations_),
+        world_(options.seed, options.net) {
+    world_.trace_bus().set_enabled(true);
+    world_.trace_bus().set_observer(
+        [this](const obs::TraceEvent& e) { checker_.observe(e); });
     sites_ = world_.add_sites(options.sites);
     options_.endpoint.universe = sites_;
     world_.set_default_spawner(
@@ -68,6 +75,14 @@ class Cluster {
   /// Every recorder ever created (including crashed incarnations).
   const std::vector<std::unique_ptr<Recorder>>& all_recorders() const {
     return recorders_;
+  }
+
+  const obs::LiveChecker& checker() const { return checker_; }
+  /// Every oracle violation of the run so far. Finishes the engine first:
+  /// the only-if-sent verdicts need the whole run.
+  const std::vector<obs::Violation>& oracle_violations() {
+    checker_.finish();
+    return violations_;
   }
 
   /// Runs simulated time until `pred()` holds, polling every `poll`.
@@ -115,6 +130,9 @@ class Cluster {
 
  private:
   ClusterOptions options_;
+  // Declared before the world, so they outlive every event it records.
+  std::vector<obs::Violation> violations_;
+  obs::LiveChecker checker_;
   sim::World world_;
   std::vector<SiteId> sites_;
   std::vector<std::unique_ptr<Recorder>> recorders_;

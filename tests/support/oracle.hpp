@@ -1,55 +1,20 @@
-// Test support: global-property oracles for view synchrony.
+// Test support: the view-synchrony oracles over a sim Cluster.
 //
-// These check the paper's Section-2 specification over the recorded
-// histories of every incarnation in a run:
-//   Agreement  (P2.1): processes that survive from view v to the same next
-//                      view delivered the same set of messages in v.
-//   Uniqueness (P2.2): a message is delivered in at most one view
-//                      (across all processes).
-//   Integrity  (P2.3): at most once per process, and only if some process
-//                      multicast it.
-// Payloads must be globally unique within a test for these oracles.
-//
-// The actual property logic lives in the library (obs::RunChecker) so it
-// can also validate traces from benches, examples and recorded files; this
-// header converts Recorder histories into the checker's event form and
-// wraps the structured violations back into gtest AssertionResults.
+// The property logic is the library's one oracle engine (obs::LiveChecker,
+// obs/check.hpp). A Cluster feeds it from its World's trace bus, so the
+// checks see the protocol's own hooks, with each message's real (sender,
+// view, seq) identity; this header wraps the structured violations back
+// into gtest AssertionResults.
 #pragma once
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <vector>
 
 #include "obs/check.hpp"
-#include "obs/trace.hpp"
-#include "support/recorder.hpp"
+#include "support/cluster.hpp"
 
 namespace evs::test {
-
-/// Recorder histories as synthetic trace events: per process, its views in
-/// installation order plus every send and view-tagged delivery. Times are
-/// irrelevant to the properties and left at zero.
-inline std::vector<obs::TraceEvent> recorder_events(
-    const std::vector<const Recorder*>& recorders) {
-  std::vector<obs::TraceEvent> events;
-  for (const Recorder* rec : recorders) {
-    const ProcessId proc = rec->endpoint_id();
-    for (const auto& vr : rec->views()) {
-      events.push_back({0, proc, obs::EventKind::ViewInstalled, vr.view.id,
-                        vr.view.id.coordinator, 0, vr.view.size()});
-    }
-    for (const std::string& payload : rec->sent()) {
-      events.push_back({0, proc, obs::EventKind::MessageSent, {}, proc, 0,
-                        obs::payload_hash(to_bytes(payload))});
-    }
-    for (const auto& d : rec->deliveries()) {
-      events.push_back({0, proc, obs::EventKind::MessageDelivered, d.view,
-                        d.sender, 0, obs::payload_hash(to_bytes(d.payload))});
-    }
-  }
-  return events;
-}
 
 inline ::testing::AssertionResult as_assertion(
     const std::vector<obs::Violation>& violations) {
@@ -59,35 +24,12 @@ inline ::testing::AssertionResult as_assertion(
   return failure;
 }
 
-inline ::testing::AssertionResult check_uniqueness(
-    const std::vector<const Recorder*>& recorders) {
-  return as_assertion(
-      obs::RunChecker::check_uniqueness(recorder_events(recorders)));
-}
-
-inline ::testing::AssertionResult check_integrity(
-    const std::vector<const Recorder*>& recorders) {
-  return as_assertion(
-      obs::RunChecker::check_integrity(recorder_events(recorders)));
-}
-
-inline ::testing::AssertionResult check_agreement(
-    const std::vector<const Recorder*>& recorders) {
-  return as_assertion(
-      obs::RunChecker::check_agreement(recorder_events(recorders)));
-}
-
-inline ::testing::AssertionResult check_vs_properties(
-    const std::vector<const Recorder*>& recorders) {
-  return as_assertion(obs::RunChecker::check_vs(recorder_events(recorders)));
-}
-
-inline std::vector<const Recorder*> recorder_ptrs(
-    const std::vector<std::unique_ptr<Recorder>>& owned) {
-  std::vector<const Recorder*> out;
-  out.reserve(owned.size());
-  for (const auto& r : owned) out.push_back(r.get());
-  return out;
+/// Agreement, Uniqueness and Integrity (P2.1-P2.3) over every incarnation
+/// the cluster ran, crashed ones included.
+inline ::testing::AssertionResult check_vs_properties(Cluster& c) {
+  if (c.checker().events_checked() == 0)  // blind, not clean
+    return ::testing::AssertionFailure() << "the oracle checked no events";
+  return as_assertion(c.oracle_violations());
 }
 
 }  // namespace evs::test

@@ -2,7 +2,7 @@
 //
 // Tags every delivery with the view in which it happened (flush-path
 // deliveries occur before the endpoint reassigns its view, so the tag is
-// the dying view — exactly what the oracles need).
+// the dying view).
 #pragma once
 
 #include <string>
@@ -40,21 +40,17 @@ class Recorder : public vsync::Delegate {
   }
 
   void multicast(const std::string& payload) {
-    sent_.push_back(payload);
     endpoint_->multicast(to_bytes(payload));
   }
 
   vsync::Endpoint& endpoint() { return *endpoint_; }
-  ProcessId endpoint_id() const { return endpoint_->id(); }
   const std::vector<ViewRecord>& views() const { return views_; }
   const std::vector<Delivery>& deliveries() const { return deliveries_; }
-  const std::vector<std::string>& sent() const { return sent_; }
 
  private:
   vsync::Endpoint* endpoint_;
   std::vector<ViewRecord> views_;
   std::vector<Delivery> deliveries_;
-  std::vector<std::string> sent_;
 };
 
 }  // namespace evs::test

@@ -1,27 +1,27 @@
-// trace_check: replay recorded traces through the RunChecker.
+// trace_check: replay recorded traces through the oracle engine.
 //
 // Usage: trace_check [--merge] [--group N] [--spans-json FILE]
 //                    [--spans-chrome FILE] [--request ID [--request-json FILE]]
 //                    <run.trace.jsonl>...
 //
 // Reads each JSONL trace produced by obs::TraceBus::write_jsonl (e.g. via
-// EVS_TRACE_OUT), validates it against the view-synchrony properties
-// (P2.1-P2.3), the enriched-view structure invariant and the Figure-1 mode
-// machine, and prints every violation. Exit status: 0 when every file is
-// clean, 1 on any violation or unreadable file. CI runs the quickstart
-// example under EVS_TRACE_OUT and pipes the result through this tool.
+// EVS_TRACE_OUT), replays it through obs::RunChecker — the view-synchrony
+// properties (P2.1-P2.3), the enriched-view structure invariant, the
+// Figure-1 mode machine and the request-phase rule — and prints every
+// violation. Exit status: 0 when every file is clean, 1 on any violation
+// or unreadable file. CI runs the quickstart and partition_merge_demo
+// examples under EVS_TRACE_OUT and pipes their traces through this tool.
 //
 // --merge treats all files as one run and checks their union. A sim run
 // records every process in one World bus, so one file is the whole run;
 // a real-socket run (tools/evs_node) dumps one trace per process, and the
-// cross-process properties — P2.1 agreement, P2.3 integrity — only hold
-// on the union of the group's traces.
+// cross-process properties — P2.1 agreement, P2.3 only-if-sent — only
+// hold on the union of the group's traces.
 //
 // Multi-group traces (events carrying a "g" label — one process hosting
-// several group instances) are split by group and each group's slice is
-// checked on its own: the view-synchrony properties hold per group
-// instance, and a union across groups would see interleaved unrelated
-// views as violations. --group N restricts checking to one group.
+// several group instances) need no split: the engine keys all its state
+// by group, so each group instance is checked on its own. --group N
+// restricts checking to one group.
 //
 // --spans-json / --spans-chrome run the cross-process span correlation
 // (obs/spans.hpp) over the union of all input files: clock-offset
@@ -36,7 +36,6 @@
 // clocks. Prints the tree to stdout; --request-json FILE also writes it
 // as one JSON object. Exits 1 when the id is absent or the phase order is
 // violated.
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -51,40 +50,16 @@
 
 namespace {
 
-bool check_one(const std::string& label,
-               const std::vector<evs::obs::TraceEvent>& events,
-               std::size_t skipped) {
-  const std::vector<evs::obs::Violation> violations =
-      evs::obs::RunChecker::check(events);
-  std::printf("%s: %zu events (%zu unparseable lines skipped), %zu violations\n",
-              label.c_str(), events.size(), skipped, violations.size());
-  for (const evs::obs::Violation& v : violations)
-    std::printf("  %s\n", v.str().c_str());
-  return violations.empty();
-}
-
-/// Splits by group label and checks each group's slice independently; a
-/// trace with one group (the common case) keeps its unsuffixed label.
 bool check_and_report(const char* label,
                       const std::vector<evs::obs::TraceEvent>& events,
                       std::size_t skipped) {
-  std::vector<evs::GroupId> groups;
-  for (const evs::obs::TraceEvent& e : events)
-    if (std::find(groups.begin(), groups.end(), e.group) == groups.end())
-      groups.push_back(e.group);
-  std::sort(groups.begin(), groups.end());
-  if (groups.size() <= 1) return check_one(label, events, skipped);
-
-  bool ok = true;
-  for (const evs::GroupId g : groups) {
-    std::vector<evs::obs::TraceEvent> slice;
-    for (const evs::obs::TraceEvent& e : events)
-      if (e.group == g) slice.push_back(e);
-    // Per-file parse skips are reported once, against the first slice.
-    const std::string sub = std::string(label) + "[g=" + std::to_string(g) + "]";
-    if (!check_one(sub, slice, g == groups.front() ? skipped : 0)) ok = false;
-  }
-  return ok;
+  const std::vector<evs::obs::Violation> violations =
+      evs::obs::RunChecker::check(events);
+  std::printf("%s: %zu events (%zu unparseable lines skipped), %zu violations\n",
+              label, events.size(), skipped, violations.size());
+  for (const evs::obs::Violation& v : violations)
+    std::printf("  %s\n", v.str().c_str());
+  return violations.empty();
 }
 
 bool write_file(const std::string& path,
