@@ -119,7 +119,8 @@ std::uint64_t admin_command_code(const std::string& name) {
 AdminServer::AdminServer(EventLoop& loop, std::uint32_t ip, std::uint16_t port)
     : engine_(loop, ip, port, "admin", kMaxConnections, /*max_out_bytes=*/0,
               {.on_data = [this](Conn& conn, SimTime) { on_data(conn); },
-               .on_sent = {}}) {}
+               .on_sent = {},
+               .on_close = {}}) {}
 
 AdminStats AdminServer::stats() const {
   AdminStats stats = stats_;

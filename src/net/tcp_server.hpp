@@ -28,8 +28,9 @@
 //     which stops reading, and close-after-drain for one-shot protocols;
 //   * closing every connection on teardown.
 //
-// The owner sees its connections through two callbacks: on_data after a
-// read pass, and on_sent after each send(2) with the bytes it took.
+// The owner sees its connections through three callbacks: on_data after
+// a read pass, on_sent after each send(2) with the bytes it took, and
+// on_close before a connection closes (not at teardown).
 // `Extra` is the owner's own per-connection state, kept in the slot.
 #pragma once
 
@@ -106,6 +107,9 @@ class TcpServer {
     /// One send(2) took `sent` bytes (possibly 0) from the front of
     /// conn.out; runs before they are erased. May be empty.
     std::function<void(Conn& conn, std::size_t sent)> on_sent;
+    /// The connection closes when this returns; what is left in conn.out
+    /// is dropped. May be empty.
+    std::function<void(Conn& conn)> on_close;
   };
 
   /// Binds ip:port (port 0 picks an ephemeral port, see bound_port()) and
@@ -173,6 +177,7 @@ class TcpServer {
 
   /// Closes now; `conn` is gone when this returns.
   void close(Conn& conn) {
+    if (callbacks_.on_close) callbacks_.on_close(conn);
     const int fd = conn.fd;
     loop_.remove_fd(fd);
     ::close(fd);

@@ -13,7 +13,8 @@ std::string trace_out_dir() {
 }
 
 bool dump_run(const TraceBus& bus, const MetricsRegistry& metrics,
-              const std::string& name) {
+              const std::string& name,
+              const std::vector<TraceEvent>& trailer) {
   const std::string dir = trace_out_dir();
   if (dir.empty()) return false;
   const std::string stem = dir + "/" + name;
@@ -25,6 +26,7 @@ bool dump_run(const TraceBus& bus, const MetricsRegistry& metrics,
       return false;
     }
     bus.write_jsonl(os);
+    for (const TraceEvent& e : trailer) write_jsonl_event(os, e);
   }
   {
     std::ofstream os(stem + ".chrome.json");

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -23,7 +24,9 @@ std::string trace_out_dir();
 
 /// Writes the run artifacts into trace_out_dir(); returns true if files
 /// were written. `name` must be a bare file stem ("quickstart", ...).
+/// `trailer` is appended to the JSONL trace after the bus's events.
 bool dump_run(const TraceBus& bus, const MetricsRegistry& metrics,
-              const std::string& name);
+              const std::string& name,
+              const std::vector<TraceEvent>& trailer = {});
 
 }  // namespace evs::obs

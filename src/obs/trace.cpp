@@ -12,7 +12,7 @@ namespace evs::obs {
 
 namespace {
 
-constexpr std::array<const char*, 23> kKindNames = {
+constexpr std::array<const char*, 24> kKindNames = {
     "?",
     "HeartbeatSuspect",
     "HeartbeatUnsuspect",
@@ -36,6 +36,7 @@ constexpr std::array<const char*, 23> kKindNames = {
     "RequestDelivered",
     "RequestApplied",
     "RequestReplied",
+    "TraceCut",
 };
 
 // Compact textual ids that survive the JSONL round trip.

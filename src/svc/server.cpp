@@ -21,7 +21,8 @@ SvcServer::SvcServer(net::EventLoop& loop, std::uint32_t ip,
               {.on_data = [this](Conn& conn,
                                  SimTime arrival) { on_data(conn, arrival); },
                .on_sent = [this](Conn& conn,
-                                 std::size_t sent) { on_sent(conn, sent); }}) {}
+                                 std::size_t sent) { on_sent(conn, sent); },
+               .on_close = [this](Conn& conn) { on_close(conn); }}) {}
 
 SvcServer::~SvcServer() {
   *alive_ = false;  // completions and timers in flight become no-ops
@@ -126,11 +127,15 @@ void SvcServer::complete(const std::shared_ptr<RequestCtx>& ctx,
   Conn* conn = server->engine_.find(ctx->conn);
   if (conn == nullptr) {
     ++server->stats_.responses_orphaned;
+    server->trace_replied(ctx->trace, ctx->request_id, resp.status);
     return;
   }
   EVS_CHECK(conn->extra.inflight > 0);
   --conn->extra.inflight;
-  if (!server->queue_response(*conn, ctx->request_id, resp)) return;
+  if (!server->queue_response(*conn, ctx->request_id, resp)) {
+    server->trace_replied(ctx->trace, ctx->request_id, resp.status);
+    return;
+  }
   conn->extra.replies.push_back({conn->out.size(), server->loop_.now(),
                                  ctx->trace, ctx->request_id, resp.status});
 }
@@ -159,15 +164,23 @@ void SvcServer::on_sent(Conn& conn, std::size_t sent) {
   for (; done < replies.size() && replies[done].end <= sent; ++done) {
     const QueuedReply& reply = replies[done];
     reply_us_.record(static_cast<double>(now - reply.completed));
-    if (reply.trace != 0 && trace_ != nullptr && trace_->enabled()) {
-      trace_->record({now, self_, obs::EventKind::RequestReplied, {}, {},
-                      reply.trace, static_cast<std::uint64_t>(reply.status),
-                      reply.request_id});
-    }
+    trace_replied(reply.trace, reply.request_id, reply.status);
   }
   replies.erase(replies.begin(),
                 replies.begin() + static_cast<std::ptrdiff_t>(done));
   for (QueuedReply& reply : replies) reply.end -= sent;
+}
+
+void SvcServer::on_close(Conn& conn) {
+  for (const QueuedReply& reply : conn.extra.replies)
+    trace_replied(reply.trace, reply.request_id, reply.status);
+}
+
+void SvcServer::trace_replied(std::uint64_t trace, std::uint64_t request_id,
+                              SvcStatus status) {
+  if (trace == 0 || trace_ == nullptr || !trace_->enabled()) return;
+  trace_->record({loop_.now(), self_, obs::EventKind::RequestReplied, {}, {},
+                  trace, static_cast<std::uint64_t>(status), request_id});
 }
 
 void SvcServer::export_metrics(obs::MetricsRegistry& registry,

@@ -43,7 +43,9 @@
 // the engine's TCP_NODELAY adds no syscalls or packets; it only stops
 // Nagle from holding a reply until the client's delayed ACK. The engine
 // reports how many bytes each write took, which is when a reply is timed
-// (reply_us) and traced (RequestReplied).
+// (reply_us) and traced (RequestReplied). A reply dropped with its
+// connection is traced then, so every traced request admitted here ends
+// in one RequestReplied.
 //
 // Requests are routed to the hosted node through a Handler wired to
 // runtime::Node::svc_request. The handler's respond callback may fire
@@ -127,10 +129,10 @@ class SvcServer {
 
   /// Wires the trace bus the server reports request lifecycle events to
   /// (RequestAdmitted at dispatch, RequestReplied when the response frame
-  /// is handed to the kernel). The server has no protocol identity of its
-  /// own, so the host passes the hosted node's — events of both layers
-  /// then collate under one process in the merged trace. Null disables
-  /// emission.
+  /// is handed to the kernel or dropped with its connection). The server
+  /// has no protocol identity of its own, so the host passes the hosted
+  /// node's — events of both layers then collate under one process in
+  /// the merged trace. Null disables emission.
   void set_trace(obs::TraceBus* bus, ProcessId self) {
     trace_ = bus;
     self_ = self;
@@ -204,6 +206,11 @@ class SvcServer {
   /// One write took `sent` bytes of `conn.out`: times and traces the
   /// replies it completed.
   void on_sent(Conn& conn, std::size_t sent);
+  /// `conn` closes: traces the replies it still held as done.
+  void on_close(Conn& conn);
+  /// Records RequestReplied for a traced request (`trace` != 0).
+  void trace_replied(std::uint64_t trace, std::uint64_t request_id,
+                     runtime::SvcStatus status);
 
   net::EventLoop& loop_;
   SvcServerConfig config_;

@@ -335,7 +335,7 @@ void Endpoint::handle_install(const gms::Install& msg) {
       // duplicate can never deliver twice.
       lane->next_expected = fm.seq + 1;
       ++stats_.flush_deliveries;
-      deliver(fm.sender, fm.seq, fm.payload);
+      flush_deliver(view_id, fm);
     }
   }
 
@@ -447,14 +447,15 @@ void Endpoint::try_deliver(ProcessId sender, Lane& lane) {
   }
 }
 
-void Endpoint::deliver(ProcessId sender, std::uint64_t seq, const Bytes& payload) {
+void Endpoint::flush_deliver(ViewId sent_in, const gms::FlushedMessage& fm) {
   ++stats_.data_delivered;
   if (auto* bus = trace(); bus != nullptr && bus->enabled()) {
-    // view_ is still the dying view here — flush deliveries belong to it.
-    bus->record({now(), id(), obs::EventKind::FlushDelivery,
-                 view_.id, sender, seq, obs::payload_hash(payload)});
+    // Stamped with the view the union keys the message by, its send view,
+    // so the oracle compares it with the view this process is in (P2.2).
+    bus->record({now(), id(), obs::EventKind::FlushDelivery, sent_in,
+                 fm.sender, fm.seq, obs::payload_hash(fm.payload)});
   }
-  if (delegate_ != nullptr) delegate_->on_deliver(sender, payload);
+  if (delegate_ != nullptr) delegate_->on_deliver(fm.sender, fm.payload);
 }
 
 std::size_t Endpoint::undelivered() const {

@@ -218,8 +218,9 @@ class Endpoint : public runtime::Node {
   Lane* lane_of(ProcessId sender);
   void accept_data(ProcessId sender, gms::DataMsg msg);
   void try_deliver(ProcessId sender, Lane& lane);
-  /// Flush-path delivery of one message of the dying view's union.
-  void deliver(ProcessId sender, std::uint64_t seq, const Bytes& payload);
+  /// Flush-path delivery of one message of the union of view `sent_in`,
+  /// the dying view.
+  void flush_deliver(ViewId sent_in, const gms::FlushedMessage& fm);
 
   /// Builds the wire frame exactly once, counting the encode work.
   SharedBytes frame_once(gms::Channel channel, Encoder&& body);

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "net/event_loop.hpp"
+#include "obs/check.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "objects/lock_manager.hpp"
@@ -369,6 +370,57 @@ TEST(SvcServer, CompletionAfterDisconnectIsOrphaned) {
   held[0](SvcResponse::ok(1));
   EXPECT_EQ(server.stats().responses_orphaned, 1u);
   EXPECT_EQ(server.pending(), 0u);
+}
+
+TEST(SvcServer, DroppedRepliesStillEndTheirTracedRequests) {
+  // A traced request whose reply is never written, because its client
+  // hung up or its connection was closed as a slow consumer, still ends
+  // in one RequestReplied: a checker fed the bus holds no state for it.
+  net::EventLoop loop;
+  svc::SvcServerConfig config;
+  config.max_out_bytes = 1024;
+  svc::SvcServer server(loop, kLoopbackIp, 0, config);
+  obs::TraceBus bus;
+  bus.set_enabled(true);
+  obs::LiveChecker checker;
+  bus.set_observer([&checker](const obs::TraceEvent& e) { checker.observe(e); });
+  server.set_trace(&bus, ProcessId{SiteId{0}, 1});
+  std::vector<SvcRespondFn> held;
+  server.set_handler([&held](SvcRequest, SvcRespondFn respond) {
+    held.push_back(std::move(respond));
+  });
+
+  constexpr int kRounds = 20;
+  SvcRequest req = make_request(SvcOp::Get, 0, "k");
+  req.sampled = true;
+  for (int round = 0; round < kRounds; ++round) {
+    held.clear();
+    TestClient client(server.bound_port());
+    for (std::uint64_t id = 1; id <= 3; ++id) {
+      req.trace_id = 3 * static_cast<std::uint64_t>(round) + id;
+      client.send_request(id, req);
+    }
+    for (int i = 0; i < 100 && held.size() < 3; ++i)
+      client.pump_until(loop, 1, 1);
+    ASSERT_EQ(held.size(), 3u);
+    held[1](SvcResponse::ok(1, "small"));  // queued, not yet written
+    held[2](SvcResponse::ok(1, std::string(2048, 'v')));  // overflows
+    EXPECT_EQ(server.connections(), 0u);
+    held[0](SvcResponse::ok(1));  // its connection is gone: orphaned
+    EXPECT_EQ(checker.tracked(), 1u);  // the process, no open request
+  }
+  EXPECT_EQ(server.stats().responses_orphaned,
+            static_cast<std::uint64_t>(kRounds));
+  EXPECT_EQ(server.stats().slow_consumer_closed,
+            static_cast<std::uint64_t>(kRounds));
+  std::size_t admitted = 0, replied = 0;
+  for (const obs::TraceEvent& e : bus.events()) {
+    admitted += e.kind == obs::EventKind::RequestAdmitted;
+    replied += e.kind == obs::EventKind::RequestReplied;
+  }
+  EXPECT_EQ(admitted, 3u * kRounds);
+  EXPECT_EQ(replied, 3u * kRounds);
+  EXPECT_TRUE(checker.healthy());
 }
 
 TEST(SvcServer, MalformedFramesDropTheConnection) {

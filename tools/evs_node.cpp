@@ -431,7 +431,7 @@ int main(int argc, char** argv) {
   if (options.trace_flush_ms > 0) {
     const SimDuration interval = options.trace_flush_ms * kMillisecond;
     trace_flush = [&rt, &trace_name, &trace_flush, interval]() {
-      rt.dump_trace(trace_name);
+      rt.snapshot_trace(trace_name);
       rt.loop().set_timer(interval, trace_flush);
     };
     rt.loop().set_timer(interval, trace_flush);
